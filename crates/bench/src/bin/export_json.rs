@@ -5,12 +5,12 @@
 //! seeds, no timestamps — so re-running on an unchanged tree produces a
 //! byte-identical file, with one scoped exception: the
 //! `throughput.wall_clock` and `campaign_engine` subtrees (marked
-//! `"host_dependent": true`) record ops/sec, the predecode and
-//! superblock replay speedups and the shard-scaling wall clocks, which
-//! vary with the machine the export ran on. Everything outside those
-//! subtrees is byte-stable — including the `service` subtree, whose
-//! traffic runs are seeded and measured in modeled cycles, not wall
-//! time.
+//! `"host_dependent": true`) record ops/sec, the replay engine's
+//! speedup over the decode-per-step oracle and the shard-scaling wall
+//! clocks, which vary with the machine the export ran on. Everything
+//! outside those subtrees is byte-stable — including the `service`
+//! subtree, whose traffic runs are seeded and measured in modeled
+//! cycles, not wall time.
 //!
 //! Run: `cargo run --release -p bench --bin export_json`
 
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 /// Schema identifier for downstream consumers; bump when the document
 /// shape changes.
-const SCHEMA: &str = "ecc233-bench/6";
+const SCHEMA: &str = "ecc233-bench/7";
 
 fn main() {
     let doc = render();
@@ -284,16 +284,6 @@ fn render() -> String {
     writeln!(w, "  }},").unwrap();
     writeln!(w, "  \"campaign_engine\": {{").unwrap();
     writeln!(w, "    \"host_dependent\": true,").unwrap();
-    writeln!(
-        w,
-        "    \"superblock\": {{ \"trace_len\": {}, \"replays\": {}, \"per_step_ns_per_replay\": {:.0}, \"superblock_ns_per_replay\": {:.0}, \"speedup\": {:.2} }},",
-        tp.superblock.trace_len,
-        tp.superblock.replays,
-        tp.superblock.per_step_ns,
-        tp.superblock.superblock_ns,
-        tp.superblock.speedup()
-    )
-    .unwrap();
     writeln!(w, "    \"shard_scaling\": {{").unwrap();
     writeln!(w, "      \"report_byte_identical\": true,").unwrap();
     let serial_ns = tp.shard_scaling.first().map(|r| r.wall_ns).unwrap_or(0.0);

@@ -1,12 +1,12 @@
 //! Batch-throughput suite: batch-inversion amortisation, wTNAF cache
-//! hit rates, scheduler ops/sec, the predecode and superblock A/Bs,
-//! and the sharded-campaign scaling sweep.
+//! hit rates, scheduler ops/sec, the replay engine-vs-oracle A/B, the
+//! bitsliced field-backend A/B and the sharded-campaign scaling sweep.
 //!
 //! Run: `cargo run --release -p bench --bin throughput [-- --smoke]`
 //!
 //! `--smoke` bounds the run for CI (a few seconds); the default is the
 //! full sweep EXPERIMENTS.md records. Cycle ratios and hit rates are
-//! deterministic; ops/sec and the predecode speedup are wall clock and
+//! deterministic; ops/sec and the engine speedup are wall clock and
 //! vary with the host.
 
 use bench::throughput::{self, ThroughputConfig};
@@ -35,12 +35,8 @@ fn main() {
         at64.inv_shrink()
     );
     println!(
-        "GATE: predecoded replay bit-identical, {:.2}x wall-clock",
+        "GATE: engine replay bit-identical to the decode-per-step oracle, {:.2}x wall-clock",
         report.predecode.speedup()
-    );
-    println!(
-        "GATE: superblock replay bit-identical, {:.2}x wall-clock",
-        report.superblock.speedup()
     );
     // Bitsliced gates: values are asserted bit-identical inside
     // bitsliced_ab; the wall-clock bounds are set well below the

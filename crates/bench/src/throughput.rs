@@ -10,14 +10,10 @@
 //! * **Protocol scheduler** — wall-clock operations/second of
 //!   `sign_batch` / `verify_batch` / `ecdh_batch` swept over batch
 //!   sizes and worker counts.
-//! * **Predecoded executor** — A/B wall clock of replaying a recorded
-//!   kernel through the per-step decoder vs the predecoded fragment,
-//!   with a machine-state equality check proving the modeled outputs
-//!   are bit-identical.
-//! * **Superblock executor** — A/B wall clock of the predecoded
-//!   fragment with per-step dispatch vs superblock dispatch (whole
-//!   straight-line runs executed per interpreter iteration), again
-//!   with a full machine-state equality check.
+//! * **Replay engine** — A/B wall clock of replaying a recorded kernel
+//!   through the decode-per-step oracle vs the predecoded superblock
+//!   engine, with a machine-state equality check proving the modeled
+//!   outputs are bit-identical.
 //! * **Bitsliced field backend** — A/B wall clock of the 64-lane
 //!   bitsliced kernels against the portable scalar kernels (sqr, mul,
 //!   batch-64 inversion) plus the batch-inversion crossover sweep,
@@ -31,14 +27,12 @@
 //! shard scaling) vary with the host; everything else is
 //! deterministic.
 
-use gf2m::bitsliced::{self, set_bitsliced_enabled};
+use gf2m::bitsliced;
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::Fe;
 use koblitz::projective::batch_to_affine_counted;
 use koblitz::{mul, LdPoint};
 use m0plus::fault::{self, RecordedKernel};
-use m0plus::{predecode_enabled, set_predecode_enabled};
-use m0plus::{set_superblock_enabled, superblock_enabled};
 use protocols::batch::{ecdh_batch, sign_batch, verify_batch, BatchConfig, VerifyJob};
 use protocols::{Keypair, Signature, SigningKey};
 use std::time::{Duration, Instant};
@@ -56,10 +50,8 @@ pub struct ThroughputConfig {
     pub cache_keys: usize,
     /// Verifications per recurring key.
     pub cache_ops_per_key: usize,
-    /// Replays per arm of the predecode A/B.
+    /// Replays per arm of the engine-vs-oracle A/B.
     pub predecode_replays: usize,
-    /// Replays per arm of the superblock A/B.
-    pub superblock_replays: usize,
     /// Batch sizes for the bitsliced batch-inversion crossover sweep.
     pub bitsliced_sizes: Vec<usize>,
     /// Replays per arm of the bitsliced A/B.
@@ -81,8 +73,7 @@ impl ThroughputConfig {
             worker_counts: vec![1, 4],
             cache_keys: 3,
             cache_ops_per_key: 8,
-            predecode_replays: 12,
-            superblock_replays: 24,
+            predecode_replays: 24,
             bitsliced_sizes: vec![64, 256, 1024],
             bitsliced_replays: 32,
             shard_campaign_runs: 8,
@@ -100,7 +91,6 @@ impl ThroughputConfig {
             cache_keys: 8,
             cache_ops_per_key: 32,
             predecode_replays: 40,
-            superblock_replays: 40,
             bitsliced_sizes: vec![32, 64, 128, 256, 512, 1024],
             bitsliced_replays: 64,
             shard_campaign_runs: 48,
@@ -342,22 +332,22 @@ fn best_replay_ns(replays: usize, f: &mut dyn FnMut()) -> f64 {
     best
 }
 
-/// A/B comparison of the fragment executor with and without the
-/// predecode layer on a replay-heavy kernel.
+/// A/B comparison of the decode-per-step oracle and the predecoded
+/// superblock engine on a replay-heavy kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct PredecodeReport {
     /// Instructions in the replayed trace.
     pub trace_len: u64,
     /// Replays measured per arm.
     pub replays: usize,
-    /// Best wall-clock nanoseconds per replay, per-step decoder.
+    /// Best wall-clock nanoseconds per replay, decode-per-step oracle.
     pub decoded_ns: f64,
-    /// Best wall-clock nanoseconds per replay, predecoded fragment.
+    /// Best wall-clock nanoseconds per replay, predecoded engine.
     pub predecoded_ns: f64,
 }
 
 impl PredecodeReport {
-    /// Wall-clock speedup of the predecoded path (> 1 is faster).
+    /// Wall-clock speedup of the engine over the oracle (> 1 is faster).
     pub fn speedup(&self) -> f64 {
         if self.predecoded_ns == 0.0 {
             return 1.0;
@@ -367,45 +357,32 @@ impl PredecodeReport {
 }
 
 /// Records the C-tier EEA inversion (the longest recorded kernel:
-/// ~75k instructions) and replays it `replays` times through each
-/// executor path, asserting the final machine states are bit-identical
-/// before reporting the wall-clock difference.
-///
-/// The in-binary A/B is a conservative *lower bound* on the real
-/// before/after: the per-step-decode arm here shares the optimised
-/// machine accounting core and the scheduled replay hook, so it is
-/// already faster than the engine this change replaced. Measured
-/// against a build of the pre-change tree, the same replay improves by
-/// more than this report shows (see EXPERIMENTS.md for the
-/// methodology and numbers).
+/// ~75k instructions) and replays it `replays` times through the
+/// decode-per-step oracle ([`fault::replay_reference`]) and the
+/// production engine ([`RecordedKernel::replay`]), asserting results
+/// and final machine states are bit-identical (down to the f64 energy
+/// bits) before reporting the wall-clock difference.
 ///
 /// # Panics
 ///
-/// Panics if the two paths produce any machine-state divergence — the
-/// predecode layer must not change a single modeled cycle.
+/// Panics on any divergence — the engine must not change a single
+/// modeled cycle.
 pub fn predecode_ab(replays: usize) -> PredecodeReport {
     let kernel = record_inv_kernel();
     let (pre, program, recording) = (&kernel.pre, &kernel.program, &kernel.recording);
 
-    // Bit-identical first: one replay per path, full state equality.
-    let was_enabled = predecode_enabled();
-    set_predecode_enabled(false);
-    let decoded_run = fault::replay(pre, program, recording, None);
-    set_predecode_enabled(was_enabled);
-    let predecoded_run = kernel.replay(None);
-    assert_eq!(
-        decoded_run.stats.as_ref().expect("clean replay").cycles,
-        predecoded_run.stats.as_ref().expect("clean replay").cycles,
-    );
-    decoded_run
+    // Bit-identical first: one replay per arm, full state equality.
+    let oracle_run = fault::replay_reference(pre, program, recording, None);
+    let engine_run = kernel.replay(None);
+    assert!(oracle_run.stats.is_ok(), "clean replay");
+    assert_eq!(oracle_run.stats, engine_run.stats);
+    oracle_run
         .machine
-        .assert_same_state(&predecoded_run.machine, "predecode A/B");
+        .assert_same_state(&engine_run.machine, "engine vs oracle A/B");
 
-    set_predecode_enabled(false);
     let decoded_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(fault::replay(pre, program, recording, None));
+        std::hint::black_box(fault::replay_reference(pre, program, recording, None));
     });
-    set_predecode_enabled(was_enabled);
     let predecoded_ns = best_replay_ns(replays, &mut || {
         std::hint::black_box(kernel.replay(None));
     });
@@ -431,74 +408,6 @@ fn record_inv_kernel() -> RecordedKernel {
     let recording = f.machine_mut().take_recording();
     let program = m0plus::backend::translate(&recording).expect("recorded trace assembles");
     RecordedKernel::new(pre, program, recording)
-}
-
-/// A/B comparison of the predecoded executor with per-step dispatch
-/// vs superblock dispatch on the same replay-heavy kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct SuperblockReport {
-    /// Instructions in the replayed trace.
-    pub trace_len: u64,
-    /// Replays measured per arm.
-    pub replays: usize,
-    /// Best wall-clock nanoseconds per replay, per-step dispatch.
-    pub per_step_ns: f64,
-    /// Best wall-clock nanoseconds per replay, superblock dispatch.
-    pub superblock_ns: f64,
-}
-
-impl SuperblockReport {
-    /// Wall-clock speedup of superblock dispatch (> 1 is faster).
-    pub fn speedup(&self) -> f64 {
-        if self.superblock_ns == 0.0 {
-            return 1.0;
-        }
-        self.per_step_ns / self.superblock_ns
-    }
-}
-
-/// Replays the recorded C-tier EEA inversion through the predecoded
-/// executor with superblock dispatch disabled and enabled, asserting
-/// the final machine states are bit-identical (down to the f64 energy
-/// bits) before reporting the wall-clock difference. Both arms run the
-/// same predecoded fragment; only the dispatch granularity differs.
-///
-/// # Panics
-///
-/// Panics on any machine-state divergence — superblock dispatch must
-/// not change a single modeled cycle.
-pub fn superblock_ab(replays: usize) -> SuperblockReport {
-    let kernel = record_inv_kernel();
-
-    let was_enabled = superblock_enabled();
-    set_superblock_enabled(false);
-    let per_step_run = kernel.replay(None);
-    set_superblock_enabled(true);
-    let superblock_run = kernel.replay(None);
-    assert_eq!(
-        per_step_run.stats.as_ref().expect("clean replay").cycles,
-        superblock_run.stats.as_ref().expect("clean replay").cycles,
-    );
-    per_step_run
-        .machine
-        .assert_same_state(&superblock_run.machine, "superblock A/B");
-
-    set_superblock_enabled(false);
-    let per_step_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(kernel.replay(None));
-    });
-    set_superblock_enabled(true);
-    let superblock_ns = best_replay_ns(replays, &mut || {
-        std::hint::black_box(kernel.replay(None));
-    });
-    set_superblock_enabled(was_enabled);
-
-    SuperblockReport {
-        trace_len: kernel.trace_len(),
-        replays,
-        per_step_ns,
-        superblock_ns,
-    }
 }
 
 /// One point of the bitsliced batch-inversion crossover sweep.
@@ -584,8 +493,9 @@ impl BitslicedReport {
 /// and the hybrid `batch_invert` crossover sweep over `sizes`.
 ///
 /// Before any timing, every sweep size is checked bit-identical three
-/// ways — scalar chain, the `batch_invert` dispatcher, and the
-/// bitsliced seam called directly — so the wall-clock numbers can
+/// ways — the scalar chain ([`gf2m::batch::scalar_invert`]), the
+/// `batch_invert` dispatcher, and the bitsliced chain
+/// ([`bitsliced::invert_elements`]) — so the wall-clock numbers can
 /// never paper over a value regression.
 ///
 /// # Panics
@@ -611,12 +521,9 @@ pub fn bitsliced_ab(sizes: &[usize], replays: usize) -> BitslicedReport {
         })
         .collect();
 
-    let was_enabled = bitsliced::bitsliced_enabled();
     for &size in sizes {
         let mut scalar = elems[..size].to_vec();
-        set_bitsliced_enabled(false);
-        gf2m::batch::batch_invert(&mut scalar);
-        set_bitsliced_enabled(true);
+        gf2m::batch::scalar_invert(&mut scalar);
         let mut dispatched = elems[..size].to_vec();
         gf2m::batch::batch_invert(&mut dispatched);
         let mut direct = elems[..size].to_vec();
@@ -665,20 +572,18 @@ pub fn bitsliced_ab(sizes: &[usize], replays: usize) -> BitslicedReport {
         );
     });
 
-    // Crossover sweep: the production `batch_invert` entry point with
-    // the toggle as the only difference between arms. Each call works
-    // on a fresh copy; the copy cost is identical on both arms.
+    // Crossover sweep: the two chains the `batch_invert` dispatcher
+    // picks between. Each call works on a fresh copy; the copy cost is
+    // identical on both arms.
     let mut rows = Vec::new();
     let mut buf = elems.clone();
     for &size in sizes {
         let src = &elems[..size];
-        set_bitsliced_enabled(false);
         let scalar_ns = best_replay_ns(replays, &mut || {
             buf[..size].copy_from_slice(src);
-            gf2m::batch::batch_invert(&mut buf[..size]);
+            gf2m::batch::scalar_invert(&mut buf[..size]);
             std::hint::black_box(&buf);
         });
-        set_bitsliced_enabled(true);
         let bitsliced_ns = best_replay_ns(replays, &mut || {
             buf[..size].copy_from_slice(src);
             bitsliced::invert_elements(&mut buf[..size]);
@@ -690,8 +595,6 @@ pub fn bitsliced_ab(sizes: &[usize], replays: usize) -> BitslicedReport {
             bitsliced_ns,
         });
     }
-    set_bitsliced_enabled(was_enabled);
-
     BitslicedReport {
         replays,
         sqr_scalar_ns,
@@ -750,10 +653,8 @@ pub struct ThroughputReport {
     pub cache: CacheReport,
     /// Wall-clock ops/sec sweep.
     pub ops: Vec<OpsRow>,
-    /// Predecode A/B result.
+    /// Engine-vs-oracle replay A/B result.
     pub predecode: PredecodeReport,
-    /// Superblock A/B result.
-    pub superblock: SuperblockReport,
     /// Bitsliced field-backend A/B result.
     pub bitsliced: BitslicedReport,
     /// Sharded-campaign scaling sweep.
@@ -774,7 +675,6 @@ pub fn run(config: &ThroughputConfig) -> ThroughputReport {
             config.min_measure,
         ),
         predecode: predecode_ab(config.predecode_replays),
-        superblock: superblock_ab(config.superblock_replays),
         bitsliced: bitsliced_ab(&config.bitsliced_sizes, config.bitsliced_replays),
         shard_scaling: shard_scaling(config.shard_campaign_runs, &config.shard_worker_counts),
         batch_workers_default: BatchConfig::default().effective_workers(),
@@ -838,30 +738,16 @@ pub fn render(r: &ThroughputReport) -> String {
     }
     writeln!(
         w,
-        "\npredecoded executor: {} instruction trace, {} replays/arm",
+        "\nreplay engine: {} instruction trace, {} replays/arm",
         r.predecode.trace_len, r.predecode.replays
     )
     .unwrap();
     writeln!(
         w,
-        "  per-step decode {:>12.0} ns/replay, predecoded {:>12.0} ns/replay ({:.2}x)",
+        "  decode-per-step oracle {:>12.0} ns/replay, predecoded engine {:>12.0} ns/replay ({:.2}x)",
         r.predecode.decoded_ns,
         r.predecode.predecoded_ns,
         r.predecode.speedup()
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "\nsuperblock executor: {} instruction trace, {} replays/arm",
-        r.superblock.trace_len, r.superblock.replays
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  per-step dispatch {:>10.0} ns/replay, superblock {:>10.0} ns/replay ({:.2}x)",
-        r.superblock.per_step_ns,
-        r.superblock.superblock_ns,
-        r.superblock.speedup()
     )
     .unwrap();
     writeln!(
@@ -970,20 +856,11 @@ mod tests {
 
     #[test]
     fn predecode_replays_are_bit_identical() {
-        // The assertions live inside predecode_ab; two replays per arm
-        // keep the test quick.
+        // The engine-vs-oracle assertions live inside predecode_ab; two
+        // replays per arm keep the test quick.
         let report = predecode_ab(2);
         assert!(report.trace_len > 50_000, "inv trace is replay-heavy");
         assert!(report.decoded_ns > 0.0 && report.predecoded_ns > 0.0);
-    }
-
-    #[test]
-    fn superblock_replays_are_bit_identical() {
-        // The state-equality assertions live inside superblock_ab; two
-        // replays per arm keep the test quick.
-        let report = superblock_ab(2);
-        assert!(report.trace_len > 50_000, "inv trace is replay-heavy");
-        assert!(report.per_step_ns > 0.0 && report.superblock_ns > 0.0);
     }
 
     #[test]

@@ -79,9 +79,9 @@ fn montgomery_core(
 /// zero; the other elements are unaffected by their presence.
 ///
 /// Batches of at least [`bitsliced::CROSSOVER`] elements are routed
-/// through the 64-lane bitsliced backend (unless
-/// [`bitsliced::set_bitsliced_enabled`] turned it off); the values are
-/// bit-identical either way — inverses are unique — only the wall
+/// through the 64-lane bitsliced chain ([`bitsliced::invert_elements`]),
+/// smaller ones through the scalar chain ([`scalar_invert`]); the values
+/// are bit-identical either way — inverses are unique — only the wall
 /// clock differs.
 ///
 /// ```
@@ -93,18 +93,19 @@ fn montgomery_core(
 /// assert_eq!(v[2], Fe::from_hex("abcd").unwrap().invert().unwrap());
 /// ```
 pub fn batch_invert(elems: &mut [Fe]) {
-    if bitsliced::bitsliced_enabled() && elems.len() >= bitsliced::CROSSOVER {
+    if elems.len() >= bitsliced::CROSSOVER {
         bitsliced::invert_elements(elems);
         return;
     }
     scalar_invert(elems);
 }
 
-/// The scalar-tier Montgomery chain: [`montgomery_core`] over the
-/// portable operators. Never dispatches to the bitsliced backend — it
-/// is also the final-inversion step *inside* that backend's chunked
-/// chain, so it must stay scalar.
-pub(crate) fn scalar_invert(elems: &mut [Fe]) {
+/// The scalar-tier Montgomery chain over the portable operators, with
+/// [`batch_invert`]'s zero handling. Never dispatches to the bitsliced
+/// backend — it is also the final-inversion step *inside* that
+/// backend's chunked chain, so it must stay scalar — which makes it the
+/// oracle the bitsliced chain is checked against.
+pub fn scalar_invert(elems: &mut [Fe]) {
     montgomery_core(
         elems,
         |a, b| a * b,

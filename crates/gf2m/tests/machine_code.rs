@@ -5,7 +5,10 @@
 use gf2m::modeled::{ModeledField, Tier};
 use gf2m::Fe;
 use m0plus::asm::Assembler;
-use m0plus::{backend, execute, Backend, Cond, Instr, Machine, Reg};
+use m0plus::{
+    backend, execute, execute_reference, Backend, Cond, Entry, ExecStats, Instr, Machine, Reg,
+    StepAction,
+};
 
 fn fe(seed: u64) -> Fe {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -17,6 +20,32 @@ fn fe(seed: u64) -> Fe {
         *x = (s >> 21) as u32;
     }
     Fe::from_words_reduced(w)
+}
+
+/// Runs label program `entry` on the production engine ([`execute`])
+/// and on the decode-per-step oracle, each from a copy of `m`, asserts
+/// equal [`ExecStats`] and identical machine state (cycles, bitwise
+/// energy, per-category totals, memory), and leaves `m` in the
+/// engine's final state.
+fn run_both(
+    m: &mut Machine,
+    program: &m0plus::asm::Program,
+    entry: &str,
+    max_steps: u64,
+) -> ExecStats {
+    let mut oracle = m.clone();
+    let want = execute_reference(
+        &mut oracle,
+        program,
+        Entry::label(program, entry),
+        max_steps,
+        |_, _| StepAction::Execute,
+    )
+    .expect("oracle runs");
+    let got = execute(m, program, entry, max_steps).expect("engine runs");
+    assert_eq!(got, want, "{entry}: engine vs oracle stats");
+    m.assert_same_state(&oracle, entry);
+    got
 }
 
 /// The field-addition routine as a loop in real assembly:
@@ -85,7 +114,7 @@ fn assembled_field_addition_matches_the_field() {
         m.set_base(Reg::R0, pa);
         m.set_base(Reg::R1, pb);
         m.set_base(Reg::R2, po);
-        let stats = execute(&mut m, &program, "fe_add", 1000).expect("runs");
+        let stats = run_both(&mut m, &program, "fe_add", 1000);
         let out: [u32; 8] = m.read_slice(po, 8).try_into().expect("8 words");
         assert_eq!(Fe::from_words_reduced(out), x + y, "seed {seed}");
         // 1 movs + 8×(2+2+1+2+1+1+1+1 data cycles + branch) + bx:
@@ -107,9 +136,7 @@ fn assembled_addition_cost_is_close_to_the_unrolled_support_routine() {
     m.set_base(Reg::R0, pa);
     m.set_base(Reg::R1, pb);
     m.set_base(Reg::R2, po);
-    let looped = execute(&mut m, &program, "fe_add", 1000)
-        .expect("runs")
-        .cycles;
+    let looped = run_both(&mut m, &program, "fe_add", 1000).cycles;
 
     let mut f = gf2m::modeled::ModeledField::new(gf2m::modeled::Tier::Asm);
     let (sa, sb, sz) = (f.alloc_init(fe(1)), f.alloc_init(fe(2)), f.alloc());
@@ -187,7 +214,7 @@ fn assembled_double_addition_is_identity() {
     m.set_base(Reg::R0, pa);
     m.set_base(Reg::R1, pb);
     m.set_base(Reg::R2, po);
-    execute(&mut m, &program, "main", 1000).expect("runs");
+    run_both(&mut m, &program, "main", 1000);
     let out: [u32; 8] = m.read_slice(po, 8).try_into().expect("8 words");
     assert_eq!(Fe::from_words_reduced(out), x + y);
 
@@ -196,7 +223,7 @@ fn assembled_double_addition_is_identity() {
     m.set_base(Reg::R1, pb);
     let po2 = m.alloc(8);
     m.set_base(Reg::R2, po2);
-    execute(&mut m, &program, "fe_add", 1000).expect("runs");
+    run_both(&mut m, &program, "fe_add", 1000);
     let out2: [u32; 8] = m.read_slice(po2, 8).try_into().expect("8 words");
     assert_eq!(Fe::from_words_reduced(out2), x, "(a+b)+b = a");
 }
@@ -368,7 +395,7 @@ fn assembled_reduction_matches_the_word_level_reference() {
         let pc = m.alloc(16);
         m.write_slice(pc, &c);
         m.set_base(Reg::R0, pc);
-        let stats = execute(&mut m, &program, "reduce", 10_000).expect("runs");
+        let stats = run_both(&mut m, &program, "reduce", 10_000);
         let out: [u32; 8] = m.read_slice(pc, 8).try_into().expect("8 words");
         assert_eq!(&out, gf2m::reduce::reduce(c).words(), "seed {seed}");
         // Straight-line code: every halfword retires exactly once and

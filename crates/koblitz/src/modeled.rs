@@ -322,7 +322,7 @@ impl ModeledMul {
 
     /// Public entry to the charged recoding for the leakage verifier:
     /// computes the width-w TNAF of `k` while charging the modeled
-    /// recoding cost (see [`ModeledMul::tnaf_representation`]).
+    /// recoding cost of the kP/kG *TNAF Representation* category.
     pub fn recode_charged(&mut self, k: &Int, w: u32) -> Vec<i8> {
         self.tnaf_representation(k, w)
     }

@@ -162,12 +162,11 @@ impl From<Affine> for LdPoint {
 /// modeled tier (Table 7). Batches of at least
 /// [`gf2m::bitsliced::CROSSOVER`] points additionally run both the
 /// inversion and the coordinate products through the 64-lane bitsliced
-/// backend (same values, fewer host cycles; toggled by
-/// [`gf2m::bitsliced::set_bitsliced_enabled`]).
+/// backend (same values, fewer host cycles).
 pub fn batch_to_affine(points: &[LdPoint]) -> Vec<Affine> {
     let mut zs: Vec<Fe> = points.iter().map(|p| p.z).collect();
     gf2m::batch::batch_invert(&mut zs);
-    if gf2m::bitsliced::bitsliced_enabled() && points.len() >= gf2m::bitsliced::CROSSOVER {
+    if points.len() >= gf2m::bitsliced::CROSSOVER {
         return finish_affine_bitsliced(points, &zs);
     }
     points

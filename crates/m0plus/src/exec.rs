@@ -6,11 +6,17 @@
 //! Supported control flow: conditional/unconditional branches, `BL`
 //! subroutine calls (a host-side return stack models `LR`), and `BX lr`
 //! which returns — or, at the outermost level, ends execution.
+//!
+//! There is one production engine: programs are predecoded once
+//! ([`Predecoded`], cached process-wide) and run as superblocks
+//! whenever the control hook is dormant. Label programs ([`execute`])
+//! and fragments ([`execute_fragment`] and its variants) differ only
+//! in their [`Entry`]. The decode-per-step [`execute_reference`] loop
+//! is kept as the oracle the engine is tested against.
 
 use crate::asm::{decode_bl, Program};
 use crate::isa::Instr;
 use crate::machine::{Machine, MicroOp, Reg};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Execution errors.
@@ -61,26 +67,6 @@ pub enum StepAction {
     Skip,
 }
 
-/// The effective word address a load/store is about to touch, or `None`
-/// for instructions that do not access RAM. Computed in `u64` so a
-/// corrupted base register cannot overflow the sum.
-fn mem_access(machine: &Machine, instr: &Instr) -> Option<u64> {
-    use Instr::*;
-    let addr = match *instr {
-        LdrImm { rn, imm_words, .. } | StrImm { rn, imm_words, .. } => {
-            machine.reg(rn) as u64 + imm_words as u64
-        }
-        LdrReg { rn, rm, .. } | StrReg { rn, rm, .. } => {
-            machine.reg(rn) as u64 + machine.reg(rm) as u64
-        }
-        LdrSp { imm_words, .. } | StrSp { imm_words, .. } => {
-            machine.reg(Reg::Sp) as u64 + imm_words as u64
-        }
-        _ => return None,
-    };
-    Some(addr)
-}
-
 /// Statistics of one program run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
@@ -88,6 +74,61 @@ pub struct ExecStats {
     pub instructions: u64,
     /// Cycles charged (from the machine's counter delta).
     pub cycles: u64,
+}
+
+/// How a run is entered, which also fixes how it may end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry {
+    /// A linearised code fragment: execution starts at the first
+    /// halfword and completes when the program counter reaches the end
+    /// of the image (recorded kernel traces carry no outermost `BX lr`).
+    Fragment,
+    /// A label program entered at this halfword position: only the
+    /// outermost `BX lr` completes it, and reaching the end of the image
+    /// is [`ExecError::PcOutOfRange`].
+    Label(usize),
+}
+
+impl Entry {
+    /// The entry of `program`'s label `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a label of the program.
+    pub fn label(program: &Program, name: &str) -> Entry {
+        Entry::Label(
+            *program
+                .labels
+                .get(name)
+                .unwrap_or_else(|| panic!("entry label {name:?} not found")),
+        )
+    }
+
+    fn start(self) -> usize {
+        match self {
+            Entry::Fragment => 0,
+            Entry::Label(pc) => pc,
+        }
+    }
+
+    /// The verdict on a run whose program counter left the loop at
+    /// `pc >= len` without an outermost return: the normal exit of a
+    /// fragment that lands exactly on the end, an error otherwise. A
+    /// label program checks its step budget before the pc, so a spent
+    /// budget reports [`ExecError::StepLimit`] first.
+    fn ran_off_the_end(
+        self,
+        pc: usize,
+        len: usize,
+        steps: u64,
+        max_steps: u64,
+    ) -> Result<(), ExecError> {
+        match self {
+            Entry::Fragment if pc == len => Ok(()),
+            Entry::Label(_) if steps >= max_steps => Err(ExecError::StepLimit),
+            _ => Err(ExecError::PcOutOfRange(pc)),
+        }
+    }
 }
 
 /// A predecoded instruction position: the decoded [`Instr`] plus every
@@ -111,22 +152,52 @@ struct PreStep {
     invalid: bool,
 }
 
+impl PreStep {
+    /// Decodes the halfword at `pc` of `code`, resolving its
+    /// pc-relative quantities.
+    fn decode(code: &[u16], pc: usize) -> PreStep {
+        let window = &code[pc..(pc + 2).min(code.len())];
+        let Some((instr, width)) = Instr::decode(window) else {
+            return PreStep {
+                instr: Instr::Nop,
+                aux: code[pc] as usize,
+                next: pc + 1,
+                invalid: true,
+            };
+        };
+        let hw = code[pc];
+        let aux = match instr {
+            Instr::BCond { .. } => (pc as i64 + 2 + (hw & 0xFF) as i8 as i64) as usize,
+            // Sign-extend the 11-bit offset.
+            Instr::B => (pc as i64 + 2 + (((hw & 0x7FF) as i16) << 5 >> 5) as i64) as usize,
+            Instr::Bl => (pc as i64 + 2 + decode_bl(code[pc], code[pc + 1]) as i64) as usize,
+            _ => 0,
+        };
+        PreStep {
+            instr,
+            aux,
+            next: pc + width,
+            invalid: false,
+        }
+    }
+}
+
 /// A program decoded once, ready for repeated execution. Holds copies
 /// of the code image and literal pool, so running a fragment needs no
 /// `Program` — and so the cache can verify a hash hit byte-for-byte.
 ///
-/// Besides the flat per-position [`PreStep`] table, predecoding
-/// partitions the image into *superblocks*: maximal straight-line runs
-/// of positions that lower to a runnable micro-op (no control flow, no
-/// invalid halfword, no unresolvable pool slot). `run_end[pc]` is the
-/// exclusive end of the run starting at `pc` (== `pc` when the
-/// position is not runnable), so entering a run at *any* position —
-/// e.g. via a branch into the middle of a block — yields the correct
-/// remainder with no special casing.
+/// Besides a flat per-position step table, predecoding partitions the
+/// image into *superblocks*: maximal straight-line runs of positions
+/// that lower to a runnable micro-op (no control flow, no invalid
+/// halfword, no unresolvable pool slot). `run_end[pc]` is the exclusive
+/// end of the run starting at `pc` (== `pc` when the position is not
+/// runnable), so entering a run at *any* position — e.g. via a branch
+/// into the middle of a block — yields the correct remainder with no
+/// special casing.
 ///
 /// The modeled cycle and energy accounting is **identical** to
-/// decode-per-step execution: predecoding changes when instructions
-/// are decoded, never what they charge.
+/// decode-per-step execution ([`execute_reference`]): predecoding
+/// changes when instructions are decoded, never what they charge.
 #[derive(Debug)]
 pub struct Predecoded {
     steps: Vec<PreStep>,
@@ -135,7 +206,7 @@ pub struct Predecoded {
     code: Vec<u16>,
     pool: Vec<u32>,
     /// The per-class cycle table the superblock `MicroOp` costs were
-    /// materialised from. [`PreStep`]s are target-independent (pure
+    /// materialised from. The step table is target-independent (pure
     /// decode), but `ops` bakes per-op cycle counts, so a predecoded
     /// fragment is only valid for machines whose model carries this
     /// exact table.
@@ -143,47 +214,16 @@ pub struct Predecoded {
 }
 
 impl Predecoded {
-    /// Decodes every halfword position of `program` up front for the
-    /// default Cortex-M0+ cycle table (bypassing the process-wide
-    /// cache — see [`predecode`]).
-    pub fn new(program: &Program) -> Predecoded {
-        Self::for_cycles(program, &crate::target::M0PLUS_CYCLES)
-    }
-
-    /// [`Predecoded::new`] with an explicit per-class cycle table: the
-    /// superblock micro-ops' precomputed cycle costs are materialised
-    /// from `cycle_table`, so the fragment replays correctly on a
-    /// machine built for the corresponding target.
+    /// Decodes every halfword position of `program` up front (bypassing
+    /// the process-wide cache — see [`predecode_with`]). The superblock
+    /// micro-ops' precomputed cycle costs are materialised from
+    /// `cycle_table`, so the fragment replays correctly on a machine
+    /// built for the corresponding target.
     pub fn for_cycles(program: &Program, cycle_table: &crate::target::CycleTable) -> Predecoded {
         let code = program.code.clone();
         let pool = program.pool.clone();
         let steps: Vec<PreStep> = (0..code.len())
-            .map(|pc| {
-                let window = &code[pc..(pc + 2).min(code.len())];
-                let Some((instr, width)) = Instr::decode(window) else {
-                    return PreStep {
-                        instr: Instr::Nop,
-                        aux: code[pc] as usize,
-                        next: pc + 1,
-                        invalid: true,
-                    };
-                };
-                let hw = code[pc];
-                let aux = match instr {
-                    Instr::BCond { .. } => (pc as i64 + 2 + (hw & 0xFF) as i8 as i64) as usize,
-                    Instr::B => (pc as i64 + 2 + (((hw & 0x7FF) as i16) << 5 >> 5) as i64) as usize,
-                    Instr::Bl => {
-                        (pc as i64 + 2 + decode_bl(code[pc], code[pc + 1]) as i64) as usize
-                    }
-                    _ => 0,
-                };
-                PreStep {
-                    instr,
-                    aux,
-                    next: pc + width,
-                    invalid: false,
-                }
-            })
+            .map(|pc| PreStep::decode(&code, pc))
             .collect();
         let (ops, run_end) = compile_superblocks(&steps, &pool, cycle_table);
         Predecoded {
@@ -312,19 +352,14 @@ fn predecode_cache() -> &'static Mutex<PredecodeCache> {
     CACHE.get_or_init(|| Mutex::new(PredecodeCache::default()))
 }
 
-/// Returns the predecoded form of `program` from the process-wide
-/// fragment cache, decoding on first sight. Entries are keyed by an
-/// FNV-1a hash of code + pool and verified byte-for-byte on a hit
-/// (a mutated fragment — e.g. a differently-recorded kernel that
-/// collides — predecodes fresh; stale results are impossible).
-pub fn predecode(program: &Program) -> Arc<Predecoded> {
-    predecode_with(program, &crate::target::M0PLUS_CYCLES)
-}
-
-/// [`predecode`] for an explicit per-class cycle table: entries are
-/// additionally keyed on the table, so fragments predecoded for
-/// different targets coexist in the cache without contaminating each
-/// other's precomputed costs.
+/// Returns the predecoded form of `program` for `cycle_table` from the
+/// process-wide fragment cache, decoding on first sight. Entries are
+/// keyed by an FNV-1a hash of code + pool + cycle table and verified
+/// byte-for-byte on a hit (a mutated fragment — e.g. a
+/// differently-recorded kernel that collides — predecodes fresh; stale
+/// results are impossible), so fragments predecoded for different
+/// targets coexist without contaminating each other's precomputed
+/// costs.
 pub fn predecode_with(
     program: &Program,
     cycle_table: &crate::target::CycleTable,
@@ -383,41 +418,22 @@ pub fn predecode_cache_reset() {
     c.misses = 0;
 }
 
-static PREDECODE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables/disables the predecode path of
-/// [`execute_fragment_ctl`] (A/B switch for measuring the speedup;
-/// results are identical either way).
-pub fn set_predecode_enabled(on: bool) {
-    PREDECODE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether fragment execution currently uses the predecode cache.
-pub fn predecode_enabled() -> bool {
-    PREDECODE_ENABLED.load(Ordering::Relaxed)
-}
-
-static SUPERBLOCK_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables/disables superblock execution inside the
-/// predecoded executor (A/B switch for measuring the speedup; modeled
-/// state, cycles and energy are bit-identical either way).
-pub fn set_superblock_enabled(on: bool) {
-    SUPERBLOCK_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the predecoded executor currently runs superblocks.
-pub fn superblock_enabled() -> bool {
-    SUPERBLOCK_ENABLED.load(Ordering::Relaxed)
+/// A scheduled hook that never asks to run again: the label-program
+/// executor's control, under which whole superblocks engage.
+fn dormant(_: &mut Machine, _: usize) -> (StepAction, u64) {
+    (StepAction::Execute, u64::MAX)
 }
 
 /// Runs `program` on `machine` starting at `entry` (a label) until the
-/// outermost `BX lr`, for at most `max_steps` instructions.
+/// outermost `BX lr`, for at most `max_steps` instructions, on the
+/// predecoded superblock engine.
 ///
 /// # Errors
 ///
-/// Propagates label, decode, literal and runaway-loop failures; the
-/// machine state reflects everything executed up to the error.
+/// Propagates decode, literal, memory-range and runaway-loop failures,
+/// and [`ExecError::PcOutOfRange`] when execution runs off the end of
+/// the image; the machine state reflects everything executed up to the
+/// error.
 ///
 /// # Panics
 ///
@@ -428,85 +444,9 @@ pub fn execute(
     entry: &str,
     max_steps: u64,
 ) -> Result<ExecStats, ExecError> {
-    let mut pc = *program
-        .labels
-        .get(entry)
-        .unwrap_or_else(|| panic!("entry label {entry:?} not found"));
-    let mut call_stack: Vec<usize> = Vec::new();
-    let mut steps = 0u64;
-    let start_cycles = machine.cycles();
-
-    loop {
-        if steps >= max_steps {
-            return Err(ExecError::StepLimit);
-        }
-        if pc >= program.code.len() {
-            return Err(ExecError::PcOutOfRange(pc));
-        }
-        let hw = program.code[pc];
-        let window = &program.code[pc..(pc + 2).min(program.code.len())];
-        let (instr, width) =
-            Instr::decode(window).ok_or(ExecError::InvalidInstruction { pc, halfword: hw })?;
-        steps += 1;
-
-        match instr {
-            Instr::BCond { cond } => {
-                let taken = machine.b_cond(cond);
-                if taken {
-                    let rel = (hw & 0xFF) as i8 as i64;
-                    pc = (pc as i64 + 2 + rel) as usize;
-                } else {
-                    pc += 1;
-                }
-            }
-            Instr::B => {
-                machine.b();
-                // Sign-extend the 11-bit offset.
-                let rel = ((hw & 0x7FF) as i16) << 5 >> 5;
-                pc = (pc as i64 + 2 + rel as i64) as usize;
-            }
-            Instr::Bl => {
-                machine.bl();
-                let rel = decode_bl(program.code[pc], program.code[pc + 1]) as i64;
-                call_stack.push(pc + 2);
-                pc = (pc as i64 + 2 + rel) as usize;
-            }
-            Instr::Bx => {
-                machine.bx();
-                match call_stack.pop() {
-                    Some(ret) => pc = ret,
-                    None => break,
-                }
-            }
-            Instr::LdrLit { rt, imm_words } => {
-                let slot = imm_words as usize;
-                let value = *program
-                    .pool
-                    .get(slot)
-                    .ok_or(ExecError::BadLiteral { pc, slot })?;
-                machine.ldr_const(rt, value);
-                pc += 1;
-            }
-            Instr::Push { reg_count } | Instr::Pop { reg_count } => {
-                machine.stack_transfer(reg_count);
-                pc += width;
-            }
-            other => {
-                if let Some(addr) = mem_access(machine, &other) {
-                    if addr >= machine.ram_words() as u64 {
-                        return Err(ExecError::MemOutOfRange { pc, addr });
-                    }
-                }
-                dispatch(machine, other);
-                pc += width;
-            }
-        }
-    }
-
-    Ok(ExecStats {
-        instructions: steps,
-        cycles: machine.cycles() - start_cycles,
-    })
+    let entry = Entry::label(program, entry);
+    let pre = predecode_with(program, machine.model().cycle_table());
+    run_predecoded(machine, &pre, entry, max_steps, dormant)
 }
 
 /// Runs an assembled code *fragment* on `machine`, starting at the first
@@ -544,6 +484,9 @@ pub fn execute_fragment(
 /// recording — but charges nothing, and control falls through to the
 /// next halfword even for branches.
 ///
+/// The fragment is predecoded through the process-wide cache
+/// ([`predecode_with`]) for the machine's cycle table.
+///
 /// # Errors
 ///
 /// Propagates decode, literal, memory-range and runaway-loop failures;
@@ -552,148 +495,28 @@ pub fn execute_fragment_ctl(
     machine: &mut Machine,
     program: &Program,
     max_steps: u64,
-    ctl: impl FnMut(&mut Machine, usize) -> StepAction,
-) -> Result<ExecStats, ExecError> {
-    if predecode_enabled() {
-        let pre = predecode_with(program, machine.model().cycle_table());
-        execute_fragment_ctl_pre(machine, &pre, max_steps, ctl)
-    } else {
-        execute_fragment_ctl_uncached(machine, program, max_steps, ctl)
-    }
-}
-
-/// The decode-per-step fragment executor ([`execute_fragment_ctl`]
-/// with the predecode cache bypassed) — kept callable for the A/B
-/// speedup measurement and as the reference the predecoded path is
-/// differential-tested against.
-pub fn execute_fragment_ctl_uncached(
-    machine: &mut Machine,
-    program: &Program,
-    max_steps: u64,
     mut ctl: impl FnMut(&mut Machine, usize) -> StepAction,
 ) -> Result<ExecStats, ExecError> {
-    let mut pc = 0usize;
-    let mut call_stack: Vec<usize> = Vec::new();
-    let mut steps = 0u64;
-    let start_cycles = machine.cycles();
-
-    while pc < program.code.len() {
-        if steps >= max_steps {
-            return Err(ExecError::StepLimit);
-        }
-        let hw = program.code[pc];
-        let window = &program.code[pc..(pc + 2).min(program.code.len())];
-        let (instr, width) =
-            Instr::decode(window).ok_or(ExecError::InvalidInstruction { pc, halfword: hw })?;
-        let action = ctl(machine, steps as usize);
-        steps += 1;
-        if action == StepAction::Skip {
-            pc += width;
-            continue;
-        }
-
-        match instr {
-            Instr::BCond { cond } => {
-                let taken = machine.b_cond(cond);
-                if taken {
-                    let rel = (hw & 0xFF) as i8 as i64;
-                    pc = (pc as i64 + 2 + rel) as usize;
-                } else {
-                    pc += 1;
-                }
-            }
-            Instr::B => {
-                machine.b();
-                let rel = ((hw & 0x7FF) as i16) << 5 >> 5;
-                pc = (pc as i64 + 2 + rel as i64) as usize;
-            }
-            Instr::Bl => {
-                machine.bl();
-                let rel = decode_bl(program.code[pc], program.code[pc + 1]) as i64;
-                call_stack.push(pc + 2);
-                pc = (pc as i64 + 2 + rel) as usize;
-            }
-            Instr::Bx => {
-                machine.bx();
-                match call_stack.pop() {
-                    Some(ret) => pc = ret,
-                    None => break,
-                }
-            }
-            Instr::LdrLit { rt, imm_words } => {
-                let slot = imm_words as usize;
-                let value = *program
-                    .pool
-                    .get(slot)
-                    .ok_or(ExecError::BadLiteral { pc, slot })?;
-                machine.ldr_const(rt, value);
-                pc += 1;
-            }
-            Instr::Push { reg_count } | Instr::Pop { reg_count } => {
-                machine.stack_transfer(reg_count);
-                pc += width;
-            }
-            other => {
-                if let Some(addr) = mem_access(machine, &other) {
-                    if addr >= machine.ram_words() as u64 {
-                        return Err(ExecError::MemOutOfRange { pc, addr });
-                    }
-                }
-                dispatch(machine, other);
-                pc += width;
-            }
-        }
-    }
-
-    if pc > program.code.len() {
-        return Err(ExecError::PcOutOfRange(pc));
-    }
-    Ok(ExecStats {
-        instructions: steps,
-        cycles: machine.cycles() - start_cycles,
-    })
-}
-
-/// [`execute_fragment_ctl`] over an already-predecoded fragment: the
-/// per-step work drops to a table lookup plus dispatch — no halfword
-/// decode, no branch-offset arithmetic, no hash. Replay engines that
-/// run the same fragment millions of times (the fault and verify
-/// campaigns) hold the [`Predecoded`] and call this directly.
-///
-/// Semantics, error taxonomy, cycle and energy accounting are
-/// identical to the decode-per-step executor: literal-pool lookups
-/// still happen at execution time (so `BadLiteral` fires at the same
-/// step), invalid positions error before the hook runs, and a skipped
-/// instruction still falls through by its encoded width.
-///
-/// # Errors
-///
-/// Exactly those of [`execute_fragment_ctl`].
-pub fn execute_fragment_ctl_pre(
-    machine: &mut Machine,
-    pre: &Predecoded,
-    max_steps: u64,
-    mut ctl: impl FnMut(&mut Machine, usize) -> StepAction,
-) -> Result<ExecStats, ExecError> {
+    let pre = predecode_with(program, machine.model().cycle_table());
     // A hook that always re-schedules itself for the very next step is
     // exactly the per-step contract.
-    execute_fragment_ctl_scheduled(machine, pre, max_steps, |m, idx| (ctl(m, idx), 0))
+    execute_fragment_ctl_scheduled(machine, &pre, max_steps, |m, idx| (ctl(m, idx), 0))
 }
 
-/// [`execute_fragment_ctl_pre`] with a *scheduled* control hook: the
-/// hook returns, along with its [`StepAction`], the next
-/// retired-instruction index at which it must run again, and the
-/// executor does not call it in between. Replay engines whose per-step
-/// work is sparse — positioned register writes, category *runs*, a
-/// single fault index — use this so the millions of steps between
-/// boundaries pay no hook call at all.
+/// [`execute_fragment_ctl`] over an already-predecoded fragment, with a
+/// *scheduled* control hook: the hook returns, along with its
+/// [`StepAction`], the next retired-instruction index at which it must
+/// run again, and the executor does not call it in between. Replay
+/// engines that run the same fragment millions of times (the fault and
+/// verify campaigns) hold the [`Predecoded`] and call this directly, so
+/// they pay neither decode nor hashing per replay, and the millions of
+/// steps between boundaries — positioned register writes, category
+/// *runs*, a single fault index — pay no hook call at all.
 ///
 /// A returned index at or below the current one is treated as
 /// "call me on the very next step"; `u64::MAX` means "never again".
 /// Instructions retired while the hook is dormant behave exactly as if
-/// the hook had returned [`StepAction::Execute`] at each of them, so a
-/// hook that asks to run at every index reproduces
-/// [`execute_fragment_ctl_pre`] bit for bit.
+/// the hook had returned [`StepAction::Execute`] at each of them.
 ///
 /// While the hook is dormant (and no recording or trace capture is
 /// armed), the executor runs whole predecoded *superblocks* — maximal
@@ -701,8 +524,6 @@ pub fn execute_fragment_ctl_pre(
 /// per position and the category resolved once per block, truncating
 /// each block at the next hook index and the step budget so hooks,
 /// faults and the step limit land on exactly the per-step boundaries.
-/// Disable via [`set_superblock_enabled`] for A/B timing; results are
-/// bit-identical either way.
 ///
 /// # Errors
 ///
@@ -713,20 +534,23 @@ pub fn execute_fragment_ctl_scheduled(
     max_steps: u64,
     ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
 ) -> Result<ExecStats, ExecError> {
-    execute_fragment_ctl_scheduled_with(machine, pre, max_steps, superblock_enabled(), ctl)
+    run_predecoded(machine, pre, Entry::Fragment, max_steps, ctl)
 }
 
-/// [`execute_fragment_ctl_scheduled`] with the superblock switch as an
-/// explicit argument instead of the process-wide toggle, so tests can
-/// compare both paths without racing the global.
-fn execute_fragment_ctl_scheduled_with(
+/// The production engine behind every entry point above: predecoded
+/// steps, superblocks while the scheduled hook is dormant, and the
+/// entry kind's exit rule. Semantics, error taxonomy, cycle and energy
+/// accounting are identical to [`execute_reference`]: literal-pool
+/// lookups still happen at execution time (so `BadLiteral` fires at the
+/// same step), invalid positions error before the hook runs, and a
+/// skipped instruction still falls through by its encoded width.
+fn run_predecoded(
     machine: &mut Machine,
     pre: &Predecoded,
+    entry: Entry,
     max_steps: u64,
-    superblocks: bool,
     mut ctl: impl FnMut(&mut Machine, usize) -> (StepAction, u64),
 ) -> Result<ExecStats, ExecError> {
-    use Instr::*;
     // The superblock micro-ops bake per-op cycle costs from one cycle
     // table; running them on a machine modelling a different target
     // would charge the wrong costs silently.
@@ -735,17 +559,21 @@ fn execute_fragment_ctl_scheduled_with(
         machine.model().cycle_table(),
         "predecoded fragment built for a different target's cycle table"
     );
-    let mut pc = 0usize;
+    let len = pre.steps.len();
+    let mut pc = entry.start();
     let mut call_stack: Vec<usize> = Vec::new();
     let mut steps = 0u64;
     let mut next_ctl = 0u64;
     let start_cycles = machine.cycles();
 
-    while pc < pre.steps.len() {
+    let returned = loop {
+        if pc >= len {
+            break false;
+        }
         if steps >= max_steps {
             return Err(ExecError::StepLimit);
         }
-        if superblocks && steps < next_ctl {
+        if steps < next_ctl {
             let end = pre.run_end[pc] as usize;
             if end > pc && !machine.block_capture_active() {
                 // Truncate the block at the next hook index and the
@@ -754,16 +582,16 @@ fn execute_fragment_ctl_scheduled_with(
                 // fires at exactly the per-step position. Both bounds
                 // exceed `steps` here, so at least one position runs.
                 let budget = (next_ctl - steps).min(max_steps - steps);
-                let len = (end - pc).min(budget as usize);
+                let run = (end - pc).min(budget as usize);
                 let cat = machine.current_category();
-                if let Err((i, addr)) = machine.run_block(&pre.ops[pc..pc + len], cat) {
+                if let Err((i, addr)) = machine.run_block(&pre.ops[pc..pc + run], cat) {
                     // The faulting instruction retires no cost; the
                     // prefix is applied+charged — exactly the per-step
                     // error state.
                     return Err(ExecError::MemOutOfRange { pc: pc + i, addr });
                 }
-                steps += len as u64;
-                pc += len;
+                steps += run as u64;
+                pc += run;
                 continue;
             }
         }
@@ -787,106 +615,14 @@ fn execute_fragment_ctl_scheduled_with(
             continue;
         }
 
-        // One flat match over the decoded instruction drives the whole
-        // step: control flow reads the precomputed `aux` target, memory
-        // ops range-check their (inlined) effective address, everything
-        // else goes straight to its machine method — the same effects,
-        // costs and error taxonomy as the decode-per-step loop, minus
-        // any second dispatch behind the first.
-        pc = match step.instr {
-            BCond { cond } => {
-                if machine.b_cond(cond) {
-                    step.aux
-                } else {
-                    step.next
-                }
-            }
-            B => {
-                machine.b();
-                step.aux
-            }
-            Bl => {
-                machine.bl();
-                call_stack.push(step.next);
-                step.aux
-            }
-            Bx => {
-                machine.bx();
-                match call_stack.pop() {
-                    Some(ret) => ret,
-                    None => break,
-                }
-            }
-            LdrLit { rt, imm_words } => {
-                let slot = imm_words as usize;
-                let value = *pre
-                    .pool
-                    .get(slot)
-                    .ok_or(ExecError::BadLiteral { pc, slot })?;
-                machine.ldr_const(rt, value);
-                step.next
-            }
-            Push { reg_count } | Pop { reg_count } => {
-                machine.stack_transfer(reg_count);
-                step.next
-            }
-            LdrImm { rt, rn, imm_words } => {
-                let addr = machine.reg(rn) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.ldr(rt, rn, imm_words);
-                step.next
-            }
-            StrImm { rt, rn, imm_words } => {
-                let addr = machine.reg(rn) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.str(rt, rn, imm_words);
-                step.next
-            }
-            LdrReg { rt, rn, rm } => {
-                let addr = machine.reg(rn) as u64 + machine.reg(rm) as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.ldr_reg(rt, rn, rm);
-                step.next
-            }
-            StrReg { rt, rn, rm } => {
-                let addr = machine.reg(rn) as u64 + machine.reg(rm) as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.str_reg(rt, rn, rm);
-                step.next
-            }
-            LdrSp { rt, imm_words } => {
-                let addr = machine.reg(Reg::Sp) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.ldr_sp(rt, imm_words);
-                step.next
-            }
-            StrSp { rt, imm_words } => {
-                let addr = machine.reg(Reg::Sp) as u64 + imm_words as u64;
-                if addr >= machine.ram_words() as u64 {
-                    return Err(ExecError::MemOutOfRange { pc, addr });
-                }
-                machine.str_sp(rt, imm_words);
-                step.next
-            }
-            other => {
-                dispatch(machine, other);
-                step.next
-            }
-        };
-    }
+        match retire(machine, step, pc, &pre.pool, &mut call_stack)? {
+            Some(next) => pc = next,
+            None => break true,
+        }
+    };
 
-    if pc > pre.steps.len() {
-        return Err(ExecError::PcOutOfRange(pc));
+    if !returned {
+        entry.ran_off_the_end(pc, len, steps, max_steps)?;
     }
     Ok(ExecStats {
         instructions: steps,
@@ -894,11 +630,139 @@ fn execute_fragment_ctl_scheduled_with(
     })
 }
 
-/// Dispatches a position-independent instruction to its machine method.
-#[inline]
-fn dispatch(m: &mut Machine, instr: Instr) {
+/// The decode-per-step reference executor: decodes one halfword per
+/// retired instruction, never runs superblocks and calls `ctl` at every
+/// step. It is the oracle the predecoded engine is differential-tested
+/// against (result, error position, machine state, cycles and bitwise
+/// energy must all match) and the baseline arm of the throughput A/B;
+/// no production path runs it.
+///
+/// # Errors
+///
+/// Exactly those of the engine for the same `entry`: [`execute`] for a
+/// label, [`execute_fragment_ctl`] for a fragment.
+pub fn execute_reference(
+    machine: &mut Machine,
+    program: &Program,
+    entry: Entry,
+    max_steps: u64,
+    mut ctl: impl FnMut(&mut Machine, usize) -> StepAction,
+) -> Result<ExecStats, ExecError> {
+    let len = program.code.len();
+    let mut pc = entry.start();
+    let mut call_stack: Vec<usize> = Vec::new();
+    let mut steps = 0u64;
+    let start_cycles = machine.cycles();
+
+    let returned = loop {
+        if pc >= len {
+            break false;
+        }
+        if steps >= max_steps {
+            return Err(ExecError::StepLimit);
+        }
+        let step = PreStep::decode(&program.code, pc);
+        if step.invalid {
+            return Err(ExecError::InvalidInstruction {
+                pc,
+                halfword: step.aux as u16,
+            });
+        }
+        let action = ctl(machine, steps as usize);
+        steps += 1;
+        if action == StepAction::Skip {
+            pc = step.next;
+            continue;
+        }
+        match retire(machine, step, pc, &program.pool, &mut call_stack)? {
+            Some(next) => pc = next,
+            None => break true,
+        }
+    };
+
+    if !returned {
+        entry.ran_off_the_end(pc, len, steps, max_steps)?;
+    }
+    Ok(ExecStats {
+        instructions: steps,
+        cycles: machine.cycles() - start_cycles,
+    })
+}
+
+/// Errors with [`ExecError::MemOutOfRange`] unless word `addr` is in
+/// RAM. The address is computed in `u64`, so a corrupted base register
+/// cannot overflow the sum.
+#[inline(always)]
+fn in_ram(machine: &Machine, pc: usize, addr: u64) -> Result<(), ExecError> {
+    if addr >= machine.ram_words() as u64 {
+        return Err(ExecError::MemOutOfRange { pc, addr });
+    }
+    Ok(())
+}
+
+/// Retires one decoded, non-skipped instruction at `pc`: one flat match
+/// drives the whole step — control flow reads the precomputed targets,
+/// memory ops range-check their effective address, everything else goes
+/// straight to its machine method — with no second dispatch behind it.
+/// Returns the next pc, or `None` after the outermost `BX lr`. Shared by
+/// the engine's per-step path and the reference loop, so the two differ
+/// only in when they decode and whether they run superblocks.
+#[inline(always)]
+fn retire(
+    m: &mut Machine,
+    step: PreStep,
+    pc: usize,
+    pool: &[u32],
+    call_stack: &mut Vec<usize>,
+) -> Result<Option<usize>, ExecError> {
     use Instr::*;
-    match instr {
+    match step.instr {
+        BCond { cond } => {
+            return Ok(Some(if m.b_cond(cond) { step.aux } else { step.next }));
+        }
+        B => {
+            m.b();
+            return Ok(Some(step.aux));
+        }
+        Bl => {
+            m.bl();
+            call_stack.push(step.next);
+            return Ok(Some(step.aux));
+        }
+        Bx => {
+            m.bx();
+            return Ok(call_stack.pop());
+        }
+        LdrLit { rt, imm_words } => {
+            let slot = imm_words as usize;
+            let value = *pool.get(slot).ok_or(ExecError::BadLiteral { pc, slot })?;
+            m.ldr_const(rt, value);
+        }
+        Push { reg_count } | Pop { reg_count } => m.stack_transfer(reg_count),
+        LdrImm { rt, rn, imm_words } => {
+            in_ram(m, pc, m.reg(rn) as u64 + imm_words as u64)?;
+            m.ldr(rt, rn, imm_words);
+        }
+        StrImm { rt, rn, imm_words } => {
+            in_ram(m, pc, m.reg(rn) as u64 + imm_words as u64)?;
+            m.str(rt, rn, imm_words);
+        }
+        LdrReg { rt, rn, rm } => {
+            in_ram(m, pc, m.reg(rn) as u64 + m.reg(rm) as u64)?;
+            m.ldr_reg(rt, rn, rm);
+        }
+        StrReg { rt, rn, rm } => {
+            in_ram(m, pc, m.reg(rn) as u64 + m.reg(rm) as u64)?;
+            m.str_reg(rt, rn, rm);
+        }
+        LdrSp { rt, imm_words } => {
+            in_ram(m, pc, m.reg(Reg::Sp) as u64 + imm_words as u64)?;
+            m.ldr_sp(rt, imm_words);
+        }
+        StrSp { rt, imm_words } => {
+            in_ram(m, pc, m.reg(Reg::Sp) as u64 + imm_words as u64)?;
+            m.str_sp(rt, imm_words);
+        }
         LslsImm { rd, rm, imm } => m.lsls_imm(rd, rm, imm),
         LsrsImm { rd, rm, imm } => m.lsrs_imm(rd, rm, if imm == 0 { 32 } else { imm }),
         AsrsImm { rd, rm, imm } => m.asrs_imm(rd, rm, if imm == 0 { 32 } else { imm }),
@@ -922,18 +786,10 @@ fn dispatch(m: &mut Machine, instr: Instr) {
         Bics { rdn, rm } => m.bics(rdn, rm),
         Mvns { rd, rm } => m.mvns(rd, rm),
         Mov { rd, rm } => m.mov(rd, rm),
-        LdrImm { rt, rn, imm_words } => m.ldr(rt, rn, imm_words),
-        StrImm { rt, rn, imm_words } => m.str(rt, rn, imm_words),
-        LdrReg { rt, rn, rm } => m.ldr_reg(rt, rn, rm),
-        StrReg { rt, rn, rm } => m.str_reg(rt, rn, rm),
-        LdrSp { rt, imm_words } => m.ldr_sp(rt, imm_words),
-        StrSp { rt, imm_words } => m.str_sp(rt, imm_words),
         Uxth { rd, rm } => m.uxth(rd, rm),
         Nop => m.nop(),
-        B | BCond { .. } | Bl | Bx | LdrLit { .. } | Push { .. } | Pop { .. } => {
-            unreachable!("control flow handled by the executor loop")
-        }
     }
+    Ok(Some(step.next))
 }
 
 #[cfg(test)]
@@ -941,36 +797,88 @@ mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::{Cond, Instr, Reg};
+    use std::collections::HashMap;
+
+    /// Runs `program` from `entry` on the engine (with the scheduled
+    /// hook `ctl`) and on the decode-per-step oracle (with the same
+    /// hook called only at the indices it scheduled), each from a copy
+    /// of `m`, and asserts equal results — the same error at the same
+    /// `pc` — equal [`ExecStats`] and identical full machine state
+    /// (cycles, bitwise energy, per-category totals, memory). Leaves
+    /// `m` in the engine's final state and returns its result.
+    fn assert_parity(
+        m: &mut Machine,
+        program: &Program,
+        entry: Entry,
+        max_steps: u64,
+        ctl: impl Fn(&mut Machine, usize) -> (StepAction, u64),
+    ) -> Result<ExecStats, ExecError> {
+        let context = format!("{entry:?}, {max_steps} steps");
+        let mut oracle = m.clone();
+        let mut next = 0u64;
+        let want = execute_reference(&mut oracle, program, entry, max_steps, |mm, idx| {
+            if (idx as u64) < next {
+                return StepAction::Execute;
+            }
+            let (action, n) = ctl(mm, idx);
+            next = n.max(idx as u64 + 1);
+            action
+        });
+        let pre = Predecoded::for_cycles(program, m.model().cycle_table());
+        let got = run_predecoded(m, &pre, entry, max_steps, &ctl);
+        assert_eq!(got, want, "{context}: engine vs oracle");
+        m.assert_same_state(&oracle, &context);
+        got
+    }
+
+    /// [`assert_parity`] for a fragment under a dormant hook, the
+    /// schedule under which superblocks engage.
+    fn fragment(
+        m: &mut Machine,
+        program: &Program,
+        max_steps: u64,
+    ) -> Result<ExecStats, ExecError> {
+        assert_parity(m, program, Entry::Fragment, max_steps, dormant)
+    }
+
+    /// [`assert_parity`] for a label program under the label executor's
+    /// dormant hook — the pair [`execute`] and the oracle.
+    fn run_label(
+        m: &mut Machine,
+        program: &Program,
+        label: &str,
+        max_steps: u64,
+    ) -> Result<ExecStats, ExecError> {
+        assert_parity(m, program, Entry::label(program, label), max_steps, dormant)
+    }
 
     #[test]
     fn countdown_loop_executes_the_right_number_of_times() {
         // r0 = 5; do { r1 += 2; r0 -= 1 } while (r0 != 0); bx lr
+        let mut a = Assembler::new();
+        a.label("entry");
+        a.push(Instr::MovsImm {
+            rd: Reg::R0,
+            imm: 5,
+        });
+        a.push(Instr::MovsImm {
+            rd: Reg::R1,
+            imm: 0,
+        });
+        a.label("loop");
+        a.push(Instr::AddsImm8 {
+            rdn: Reg::R1,
+            imm: 2,
+        });
+        a.push(Instr::SubsImm8 {
+            rdn: Reg::R0,
+            imm: 1,
+        });
+        a.branch_if(Cond::Ne, "loop");
+        a.push(Instr::Bx);
+        let p = a.assemble().expect("assembles");
         let mut m = Machine::new(64);
-        let p2 = {
-            let mut a = Assembler::new();
-            a.label("entry");
-            a.push(Instr::MovsImm {
-                rd: Reg::R0,
-                imm: 5,
-            });
-            a.push(Instr::MovsImm {
-                rd: Reg::R1,
-                imm: 0,
-            });
-            a.label("loop");
-            a.push(Instr::AddsImm8 {
-                rdn: Reg::R1,
-                imm: 2,
-            });
-            a.push(Instr::SubsImm8 {
-                rdn: Reg::R0,
-                imm: 1,
-            });
-            a.branch_if(Cond::Ne, "loop");
-            a.push(Instr::Bx);
-            a.assemble().expect("assembles")
-        };
-        let stats = execute(&mut m, &p2, "entry", 1000).expect("runs");
+        let stats = run_label(&mut m, &p, "entry", 1000).expect("runs");
         assert_eq!(m.reg(Reg::R1), 10);
         assert_eq!(m.reg(Reg::R0), 0);
         // 2 movs + 5×(adds, subs, bne) + bx; the last bne falls through.
@@ -979,6 +887,10 @@ mod tests {
         // movs 2, adds/subs 10, bne: 4 taken ×2 + 1 untaken ×1 = 9,
         // bx 2 ⇒ 23.
         assert_eq!(stats.cycles, 23);
+        // The public label entry point is that same engine run.
+        let mut fresh = Machine::new(64);
+        assert_eq!(execute(&mut fresh, &p, "entry", 1000), Ok(stats));
+        fresh.assert_same_state(&m, "execute");
     }
 
     #[test]
@@ -1020,7 +932,7 @@ mod tests {
         m.set_base(Reg::R0, src);
         m.set_base(Reg::R1, dst);
         m.set_reg(Reg::R2, 8);
-        execute(&mut m, &p, "memcpy", 1000).expect("runs");
+        run_label(&mut m, &p, "memcpy", 1000).expect("runs");
         assert_eq!(m.read_slice(dst, 8), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -1047,10 +959,15 @@ mod tests {
         let p = a.assemble().expect("assembles");
 
         let mut m = Machine::new(64);
-        let stats = execute(&mut m, &p, "main", 100).expect("runs");
+        let stats = run_label(&mut m, &p, "main", 100).expect("runs");
         assert_eq!(m.reg(Reg::R0), 4);
         // movs, 2×(bl, adds, bx), final bx = 8 instructions.
         assert_eq!(stats.instructions, 8);
+        // Entering at the subroutine itself returns from its own bx.
+        let mut m = Machine::new(64);
+        m.set_reg(Reg::R0, 3);
+        run_label(&mut m, &p, "double", 100).expect("runs");
+        assert_eq!(m.reg(Reg::R0), 6);
     }
 
     #[test]
@@ -1066,7 +983,7 @@ mod tests {
         a.push(Instr::Bx);
         let p = a.assemble().expect("assembles");
         let mut m = Machine::new(64);
-        execute(&mut m, &p, "entry", 100).expect("runs");
+        run_label(&mut m, &p, "entry", 100).expect("runs");
         assert_eq!(m.reg(Reg::R0), 0x1234_5678 & 0x1FF);
     }
 
@@ -1077,7 +994,16 @@ mod tests {
         a.branch("spin");
         let p = a.assemble().expect("assembles");
         let mut m = Machine::new(16);
-        assert_eq!(execute(&mut m, &p, "spin", 50), Err(ExecError::StepLimit));
+        assert_eq!(run_label(&mut m, &p, "spin", 50), Err(ExecError::StepLimit));
+        // Cut mid-block, in and before the loop.
+        let p = looped_program();
+        for limit in 0..=4 {
+            let mut m = Machine::new(64);
+            assert_eq!(
+                run_label(&mut m, &p, "entry", limit),
+                Err(ExecError::StepLimit)
+            );
+        }
     }
 
     #[test]
@@ -1088,26 +1014,48 @@ mod tests {
         let p = a.assemble().expect("assembles");
         let mut m = Machine::new(16);
         assert_eq!(
-            execute(&mut m, &p, "entry", 10),
+            run_label(&mut m, &p, "entry", 10),
             Err(ExecError::PcOutOfRange(1))
+        );
+        // A label program checks its budget before the pc: a budget
+        // spent exactly at the end of the image is a step limit.
+        let mut m = Machine::new(16);
+        assert_eq!(run_label(&mut m, &p, "entry", 1), Err(ExecError::StepLimit));
+        // The same image as a fragment completes normally there.
+        let mut m = Machine::new(16);
+        let stats = fragment(&mut m, &p, 1).expect("a fragment ends at the end of the image");
+        assert_eq!(stats.instructions, 1);
+        // A branch to before the image start leaves it as a wrapped pc.
+        let program = Program {
+            code: vec![0xE7FD], // b to pc - 1
+            pool: vec![],
+            labels: HashMap::new(),
+        };
+        assert_eq!(
+            fragment(&mut Machine::new(16), &program, 10),
+            Err(ExecError::PcOutOfRange(usize::MAX))
         );
     }
 
     #[test]
     fn invalid_instruction_is_reported() {
-        use std::collections::HashMap;
         let mut labels = HashMap::new();
-        labels.insert("entry".to_string(), 0usize);
+        labels.insert("entry".to_string(), 1usize);
         let program = Program {
-            code: vec![0b11111 << 11], // reserved encoding
+            code: [
+                Instr::Nop.encode(),
+                Instr::Nop.encode(),
+                vec![0b11111 << 11], // reserved encoding
+            ]
+            .concat(),
             pool: vec![],
             labels,
         };
         let mut m = Machine::new(16);
         assert_eq!(
-            execute(&mut m, &program, "entry", 10),
+            run_label(&mut m, &program, "entry", 10),
             Err(ExecError::InvalidInstruction {
-                pc: 0,
+                pc: 2,
                 halfword: 0b11111 << 11
             })
         );
@@ -1115,7 +1063,6 @@ mod tests {
 
     #[test]
     fn missing_literal_slot_is_reported() {
-        use std::collections::HashMap;
         let mut labels = HashMap::new();
         labels.insert("entry".to_string(), 0usize);
         let program = Program {
@@ -1129,7 +1076,7 @@ mod tests {
         };
         let mut m = Machine::new(16);
         assert_eq!(
-            execute(&mut m, &program, "entry", 10),
+            run_label(&mut m, &program, "entry", 10),
             Err(ExecError::BadLiteral { pc: 0, slot: 3 })
         );
     }
@@ -1166,7 +1113,7 @@ mod tests {
         let mut m = Machine::new(16);
         m.set_reg(Reg::R0, 0xFFFF_FFFF); // "glitched" base pointer
         assert_eq!(
-            execute(&mut m, &p, "entry", 10),
+            run_label(&mut m, &p, "entry", 10),
             Err(ExecError::MemOutOfRange {
                 pc: 0,
                 addr: 0xFFFF_FFFFu64 + 3
@@ -1185,7 +1132,11 @@ mod tests {
         m.set_reg(Reg::R0, 8);
         m.set_reg(Reg::R1, 9);
         assert_eq!(
-            execute_fragment(&mut m, &p, 10, |_, _| {}),
+            execute_fragment(&mut m.clone(), &p, 10, |_, _| {}),
+            Err(ExecError::MemOutOfRange { pc: 0, addr: 17 })
+        );
+        assert_eq!(
+            fragment(&mut m, &p, 10),
             Err(ExecError::MemOutOfRange { pc: 0, addr: 17 })
         );
         let mut a = Assembler::new();
@@ -1198,7 +1149,7 @@ mod tests {
         let mut m = Machine::new(16);
         m.set_reg(Reg::Sp, 15);
         assert_eq!(
-            execute_fragment(&mut m, &p, 10, |_, _| {}),
+            fragment(&mut m, &p, 10),
             Err(ExecError::MemOutOfRange { pc: 0, addr: 17 })
         );
     }
@@ -1286,112 +1237,35 @@ mod tests {
     }
 
     #[test]
-    fn predecoded_fragment_matches_uncached_execution() {
+    fn per_step_hooks_match_the_oracle() {
+        // A hook called at every index (the execute_fragment_ctl
+        // contract), with and without a skip of the first loop-body adds.
         let p = looped_program();
-        let mut m1 = Machine::new(64);
-        let s1 = execute_fragment_ctl_uncached(&mut m1, &p, 1000, |_, _| StepAction::Execute)
-            .expect("runs");
-        let pre = Predecoded::new(&p);
-        let mut m2 = Machine::new(64);
-        let s2 = execute_fragment_ctl_pre(&mut m2, &pre, 1000, |_, _| StepAction::Execute)
-            .expect("runs");
-        assert_eq!(s1, s2, "instruction and cycle counts must be identical");
-        assert_eq!(m1.reg(Reg::R0), m2.reg(Reg::R0));
-        assert_eq!(m1.reg(Reg::R1), m2.reg(Reg::R1));
-        assert_eq!(m1.cycles(), m2.cycles());
-        // Skips behave identically too (skip the first loop-body adds).
-        let mut m1 = Machine::new(64);
-        let s1 = execute_fragment_ctl_uncached(&mut m1, &p, 1000, |_, idx| {
-            if idx == 2 {
+        let mut m = Machine::new(64);
+        assert_parity(&mut m, &p, Entry::Fragment, 1000, |_, _| {
+            (StepAction::Execute, 0)
+        })
+        .expect("runs");
+        assert_eq!(m.reg(Reg::R1), 18);
+        let mut m = Machine::new(64);
+        let skip_2 = |_: &mut Machine, idx: usize| {
+            let action = if idx == 2 {
                 StepAction::Skip
             } else {
                 StepAction::Execute
-            }
-        })
-        .expect("runs");
-        let mut m2 = Machine::new(64);
-        let s2 = execute_fragment_ctl_pre(&mut m2, &pre, 1000, |_, idx| {
-            if idx == 2 {
-                StepAction::Skip
-            } else {
-                StepAction::Execute
-            }
-        })
-        .expect("runs");
-        assert_eq!(s1, s2);
-        assert_eq!(m1.reg(Reg::R1), m2.reg(Reg::R1));
-        assert_eq!(m1.cycles(), m2.cycles());
-    }
-
-    #[test]
-    fn predecode_reproduces_every_error() {
-        use std::collections::HashMap;
-        // Invalid instruction.
-        let program = Program {
-            code: vec![0b11111 << 11],
-            pool: vec![],
-            labels: HashMap::new(),
+            };
+            (action, 0)
         };
-        let pre = Predecoded::new(&program);
-        let mut m = Machine::new(16);
-        assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 10, |_, _| StepAction::Execute),
-            Err(ExecError::InvalidInstruction {
-                pc: 0,
-                halfword: 0b11111 << 11
-            })
-        );
-        // Missing literal slot: still an execution-time error.
-        let program = Program {
-            code: Instr::LdrLit {
-                rt: Reg::R0,
-                imm_words: 3,
-            }
-            .encode(),
-            pool: vec![],
-            labels: HashMap::new(),
-        };
-        let pre = Predecoded::new(&program);
-        let mut m = Machine::new(16);
-        assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 10, |_, _| StepAction::Execute),
-            Err(ExecError::BadLiteral { pc: 0, slot: 3 })
-        );
-        // Out-of-range memory access.
-        let mut a = Assembler::new();
-        a.label("entry");
-        a.push(Instr::LdrImm {
-            rt: Reg::R1,
-            rn: Reg::R0,
-            imm_words: 3,
-        });
-        let p = a.assemble().expect("assembles");
-        let pre = Predecoded::new(&p);
-        let mut m = Machine::new(16);
-        m.set_reg(Reg::R0, 0xFFFF_FFFF);
-        assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 10, |_, _| StepAction::Execute),
-            Err(ExecError::MemOutOfRange {
-                pc: 0,
-                addr: 0xFFFF_FFFFu64 + 3
-            })
-        );
-        // Step limit.
-        let p = looped_program();
-        let pre = Predecoded::new(&p);
-        let mut m = Machine::new(16);
-        assert_eq!(
-            execute_fragment_ctl_pre(&mut m, &pre, 3, |_, _| StepAction::Execute),
-            Err(ExecError::StepLimit)
-        );
+        assert_parity(&mut m, &p, Entry::Fragment, 1000, skip_2).expect("runs");
     }
 
     #[test]
     fn predecode_cache_hits_on_reuse() {
+        let table = &crate::target::M0PLUS_CYCLES;
         let p = looped_program();
         let (h0, _) = predecode_cache_stats();
-        let a = predecode(&p);
-        let b = predecode(&p);
+        let a = predecode_with(&p, table);
+        let b = predecode_with(&p, table);
         let (h1, _) = predecode_cache_stats();
         assert!(h1 > h0, "second predecode of the same program must hit");
         assert!(Arc::ptr_eq(&a, &b), "cache returns the same Arc");
@@ -1402,43 +1276,20 @@ mod tests {
             asm.push(Instr::Nop);
             asm.assemble().expect("assembles")
         };
-        let c = predecode(&q);
+        let c = predecode_with(&q, table);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
     }
 
-    /// A hook that never runs again after index 0 — the sparse
-    /// schedule under which superblocks engage.
-    fn dormant(_: &mut Machine, _: usize) -> (StepAction, u64) {
-        (StepAction::Execute, u64::MAX)
-    }
-
-    /// Runs `pre` twice with the scheduled executor — superblocks on
-    /// and off — and asserts results and full machine state (cycles,
-    /// bitwise energy, per-category totals, memory) are identical.
-    fn assert_superblock_parity(
-        pre: &Predecoded,
-        max_steps: u64,
-        ctl: impl Fn(&mut Machine, usize) -> (StepAction, u64) + Copy,
-        context: &str,
-    ) {
-        let mut slow = Machine::new(64);
-        let r1 = execute_fragment_ctl_scheduled_with(&mut slow, pre, max_steps, false, ctl);
-        let mut fast = Machine::new(64);
-        let r2 = execute_fragment_ctl_scheduled_with(&mut fast, pre, max_steps, true, ctl);
-        assert_eq!(r1, r2, "{context}: results diverged");
-        slow.assert_same_state(&fast, context);
-    }
-
     #[test]
-    fn superblocks_match_per_step_including_branch_into_block_middle() {
+    fn superblocks_match_the_oracle_including_branch_into_block_middle() {
         // The bne of looped_program() targets "loop" — the middle of
         // the [movs, movs, adds, subs] straight-line run — and the
         // fragment ends on that branch's fall-through (a
-        // fragment-final branch). Both paths must agree bit for bit.
-        let pre = Predecoded::new(&looped_program());
-        assert_superblock_parity(&pre, 1000, dormant, "branch into block middle");
+        // fragment-final branch).
+        let mut m = Machine::new(64);
+        fragment(&mut m, &looped_program(), 1000).expect("runs");
     }
 
     #[test]
@@ -1454,10 +1305,8 @@ mod tests {
         });
         a.push(Instr::Pop { reg_count: 3 });
         let p = a.assemble().expect("assembles");
-        let pre = Predecoded::new(&p);
-        assert_superblock_parity(&pre, 100, dormant, "literals and stack transfers");
         let mut m = Machine::new(64);
-        execute_fragment_ctl_scheduled_with(&mut m, &pre, 100, true, dormant).expect("runs");
+        fragment(&mut m, &p, 100).expect("runs");
         assert_eq!(m.reg(Reg::R0), 0xDEAD_BEEF & 0x1FF);
     }
 
@@ -1466,9 +1315,9 @@ mod tests {
         // A scheduled hook that skips one instruction — first mid-run
         // (index 2, the loop-body adds), then exactly on a block
         // boundary (index 4, the bne) — must see the same machine
-        // state and produce the same outcome with blocks on or off:
-        // the fault injector's window is a per-step boundary.
-        let pre = Predecoded::new(&looped_program());
+        // state and produce the same outcome as the oracle: the fault
+        // injector's window is a per-step boundary.
+        let p = looped_program();
         for fault_at in [2usize, 4, 7] {
             let ctl = move |_: &mut Machine, idx: usize| {
                 if idx == fault_at {
@@ -1477,25 +1326,24 @@ mod tests {
                     (StepAction::Execute, fault_at as u64)
                 }
             };
-            assert_superblock_parity(&pre, 1000, ctl, "fault on block boundary");
+            let mut m = Machine::new(64);
+            let _ = assert_parity(&mut m, &p, Entry::Fragment, 1000, ctl);
         }
     }
 
     #[test]
     fn superblock_step_limit_fires_mid_block() {
-        let pre = Predecoded::new(&looped_program());
+        let p = looped_program();
         for limit in 1..=6 {
-            assert_superblock_parity(&pre, limit, dormant, "step limit mid-block");
+            let mut m = Machine::new(64);
+            let _ = fragment(&mut m, &p, limit);
         }
         let mut m = Machine::new(64);
-        assert_eq!(
-            execute_fragment_ctl_scheduled_with(&mut m, &pre, 3, true, dormant),
-            Err(ExecError::StepLimit)
-        );
+        assert_eq!(fragment(&mut m, &p, 3), Err(ExecError::StepLimit));
     }
 
     #[test]
-    fn superblock_errors_match_per_step_positions() {
+    fn fragment_errors_match_the_oracle_positions() {
         // MemOutOfRange mid-block: the prefix retires, the faulting
         // load charges nothing, the reported pc is the per-step one.
         let mut a = Assembler::new();
@@ -1510,25 +1358,17 @@ mod tests {
             imm_words: 3,
         });
         let p = a.assemble().expect("assembles");
-        let pre = Predecoded::new(&p);
-        let mut slow = Machine::new(16);
-        slow.set_reg(Reg::R0, 0xFFFF_FFFF);
-        let r1 = execute_fragment_ctl_scheduled_with(&mut slow, &pre, 10, false, dormant);
-        let mut fast = Machine::new(16);
-        fast.set_reg(Reg::R0, 0xFFFF_FFFF);
-        let r2 = execute_fragment_ctl_scheduled_with(&mut fast, &pre, 10, true, dormant);
+        let mut m = Machine::new(16);
+        m.set_reg(Reg::R0, 0xFFFF_FFFF);
         assert_eq!(
-            r2,
+            fragment(&mut m, &p, 10),
             Err(ExecError::MemOutOfRange {
                 pc: 1,
                 addr: 0xFFFF_FFFFu64 + 3
             })
         );
-        assert_eq!(r1, r2);
-        slow.assert_same_state(&fast, "MemOutOfRange mid-block");
         // A missing literal slot is never block-runnable: BadLiteral
         // fires from per-step dispatch at the same retired index.
-        use std::collections::HashMap;
         let program = Program {
             code: [
                 Instr::MovsImm {
@@ -1546,11 +1386,24 @@ mod tests {
             pool: vec![],
             labels: HashMap::new(),
         };
-        let pre = Predecoded::new(&program);
         let mut m = Machine::new(16);
         assert_eq!(
-            execute_fragment_ctl_scheduled_with(&mut m, &pre, 10, true, dormant),
+            fragment(&mut m, &program, 10),
             Err(ExecError::BadLiteral { pc: 1, slot: 3 })
+        );
+        // An invalid halfword after a runnable prefix.
+        let program = Program {
+            code: [Instr::Nop.encode(), vec![0b11111 << 11]].concat(),
+            pool: vec![],
+            labels: HashMap::new(),
+        };
+        let mut m = Machine::new(16);
+        assert_eq!(
+            fragment(&mut m, &program, 10),
+            Err(ExecError::InvalidInstruction {
+                pc: 1,
+                halfword: 0b11111 << 11
+            })
         );
     }
 
@@ -1559,19 +1412,19 @@ mod tests {
     fn superblocks_fall_back_per_step_while_tracing() {
         // An armed trace needs every instruction at its own position,
         // so superblock execution must defer to per-step dispatch —
-        // and still match the blocks-off run bit for bit.
-        let pre = Predecoded::new(&looped_program());
-        let mut slow = Machine::new(64);
-        slow.start_trace();
-        execute_fragment_ctl_scheduled_with(&mut slow, &pre, 1000, false, dormant).expect("runs");
-        let t1 = slow.take_trace();
-        let mut fast = Machine::new(64);
-        fast.start_trace();
-        execute_fragment_ctl_scheduled_with(&mut fast, &pre, 1000, true, dormant).expect("runs");
-        let t2 = fast.take_trace();
+        // and still match the oracle bit for bit.
+        let p = looped_program();
+        let mut m = Machine::new(64);
+        m.start_trace();
+        let mut oracle = m.clone();
+        fragment(&mut m, &p, 1000).expect("runs");
+        execute_reference(&mut oracle, &p, Entry::Fragment, 1000, |_, _| {
+            StepAction::Execute
+        })
+        .expect("runs");
+        let (t1, t2) = (oracle.take_trace(), m.take_trace());
         assert_eq!(t1.events.len(), t2.events.len());
         assert!(!t2.events.is_empty(), "trace captured despite blocks on");
-        slow.assert_same_state(&fast, "trace fallback");
     }
 
     #[test]
@@ -1630,7 +1483,7 @@ mod tests {
         m.set_base(Reg::R0, pa);
         m.set_base(Reg::R1, pb);
         m.set_base(Reg::R2, po);
-        execute(&mut m, &p, "add64", 100).expect("runs");
+        run_label(&mut m, &p, "add64", 100).expect("runs");
         let out = m.read_slice(po, 2);
         let got = out[0] as u64 | (out[1] as u64) << 32;
         assert_eq!(got, a_val.wrapping_add(b_val));

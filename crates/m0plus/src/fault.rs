@@ -15,7 +15,7 @@
 
 use crate::asm::Program;
 use crate::backend;
-use crate::exec::{self, ExecError, ExecStats, Predecoded, StepAction};
+use crate::exec::{self, Entry, ExecError, ExecStats, Predecoded, StepAction};
 use crate::machine::{Machine, Recording, Reg};
 use prng::SplitMix64;
 use std::ops::Range;
@@ -229,21 +229,28 @@ fn seal_replay(
 /// shadow-state equality assertion (a faulted replay diverges by
 /// design) and with `fault`, if any, injected at its trace index.
 ///
-/// With predecode enabled (the default) this runs the scheduled-hook
-/// fast path of [`replay_predecoded`]; with it disabled
-/// ([`exec::set_predecode_enabled`]) it runs the original
-/// decode-per-step executor with the hook called at every instruction —
-/// the reference arm of the throughput A/B.
+/// Predecodes through the process-wide cache and runs
+/// [`replay_predecoded`].
 pub fn replay(
     pre: &Machine,
     program: &Program,
     recording: &Recording,
     fault: Option<&FaultPlan>,
 ) -> FaultedRun {
-    if exec::predecode_enabled() {
-        let predecoded = exec::predecode_with(program, pre.model().cycle_table());
-        return replay_predecoded(pre, &predecoded, recording, fault);
-    }
+    let predecoded = exec::predecode_with(program, pre.model().cycle_table());
+    replay_predecoded(pre, &predecoded, recording, fault)
+}
+
+/// [`replay`] on the decode-per-step oracle ([`exec::execute_reference`])
+/// with the hook called at every instruction: the reference the
+/// predecoded replay is checked against, and the baseline arm of the
+/// throughput A/B. No campaign runs it.
+pub fn replay_reference(
+    pre: &Machine,
+    program: &Program,
+    recording: &Recording,
+    fault: Option<&FaultPlan>,
+) -> FaultedRun {
     let mut m = pre.clone();
     let saved_override = m.category_override();
     let mut hook = ReplayHook::new(recording, fault);
@@ -255,7 +262,13 @@ pub fn replay(
     let stats = {
         let mut per_step = |mm: &mut Machine, idx: usize| hook.at(mm, idx);
         let ctl: &mut dyn FnMut(&mut Machine, usize) -> StepAction = &mut per_step;
-        exec::execute_fragment_ctl_uncached(&mut m, program, recording.steps.len() as u64 + 1, ctl)
+        exec::execute_reference(
+            &mut m,
+            program,
+            Entry::Fragment,
+            recording.steps.len() as u64 + 1,
+            ctl,
+        )
     };
     seal_replay(m, hook, saved_override, stats)
 }
@@ -451,6 +464,30 @@ mod tests {
         let faulted = run.machine.read_slice(out, 4);
         assert_eq!(faulted[0], clean[0]);
         assert_eq!(faulted[2], clean[2] ^ 4);
+    }
+
+    #[test]
+    fn predecoded_replay_matches_the_reference_under_faults() {
+        let (m, a, b, out) = setup();
+        let (kernel, ()) = RecordedKernel::capture(&m, |m| xor_kernel(m, a, b, out));
+        let mut rng = SplitMix64::new(17);
+        let regions = [a.0..a.0 + 4, b.0..b.0 + 4, out.0..out.0 + 4];
+        let mut plans: Vec<Option<FaultPlan>> = vec![None];
+        plans.extend(
+            (0..40).map(|_| Some(FaultPlan::sample(&mut rng, kernel.trace_len(), &regions))),
+        );
+        for plan in &plans {
+            let fast = kernel.replay(plan.as_ref());
+            let slow = replay_reference(
+                &kernel.pre,
+                &kernel.program,
+                &kernel.recording,
+                plan.as_ref(),
+            );
+            assert_eq!(fast.stats, slow.stats, "{plan:?}");
+            fast.machine
+                .assert_same_state(&slow.machine, &format!("{plan:?}"));
+        }
     }
 
     #[test]

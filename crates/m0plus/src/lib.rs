@@ -62,9 +62,8 @@ pub use backend::{Backend, KernelRun};
 pub use cost::InstrClass;
 pub use energy::EnergyModel;
 pub use exec::{
-    execute, execute_fragment, execute_fragment_ctl, predecode, predecode_cache_reset,
-    predecode_cache_stats, predecode_enabled, predecode_with, set_predecode_enabled,
-    set_superblock_enabled, superblock_enabled, ExecError, ExecStats, Predecoded, StepAction,
+    execute, execute_fragment, execute_fragment_ctl, execute_reference, predecode_cache_reset,
+    predecode_cache_stats, predecode_with, Entry, ExecError, ExecStats, Predecoded, StepAction,
 };
 pub use fault::{replay_predecoded, FaultKind, FaultPlan, FaultedRun, RecordedKernel};
 pub use isa::Instr;

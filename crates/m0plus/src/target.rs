@@ -6,9 +6,9 @@
 //! Table-3 pJ/cycle figures in [`EnergyModel::cortex_m0plus`]. This
 //! module extracts both behind one trait, [`TargetModel`], so that the
 //! whole recorded-kernel stack — the [`Machine`](crate::Machine), the
-//! predecoded/superblock executor (whose per-op cycle constants are
+//! predecoded superblock engine (whose per-op cycle constants are
 //! materialised **per target** at lowering time, see
-//! [`crate::exec::predecode_for`]), the fault and verification
+//! [`crate::exec::predecode_with`]), the fault and verification
 //! campaigns, and the bench/export binaries — can re-cost the same
 //! kernels under a family of cores.
 //!
@@ -26,9 +26,9 @@
 //!
 //! Only `cortex-m0plus` is *measured* (the paper's Table 3); the other
 //! entries are documented estimates, each annotated inline where its
-//! tables are declared. [`core::crossplatform`]-style consumers
-//! re-cost recorded kernels under each entry instead of citing
-//! constants.
+//! tables are declared. Consumers such as the `ecc233` crate's
+//! `crossplatform` module re-cost recorded kernels under each entry
+//! instead of citing constants.
 
 use crate::cost::InstrClass;
 use crate::energy::{table3, EnergyModel};
@@ -71,10 +71,10 @@ pub const M0PLUS_CYCLES: CycleTable = [
 /// the per-class cycle table, the per-class pJ/cycle table, and the
 /// clock the time/power derivations assume.
 ///
-/// The trait is object-safe on purpose — [`Machine::with_target`]
-/// (crate::Machine::with_target) and the modeled-field constructors
-/// take `&dyn TargetModel`, so downstream crates can define their own
-/// cores without touching this crate.
+/// The trait is object-safe on purpose —
+/// [`Machine::with_target`](crate::Machine::with_target) and the
+/// modeled-field constructors take `&dyn TargetModel`, so downstream
+/// crates can define their own cores without touching this crate.
 pub trait TargetModel {
     /// Registry key / CLI `--target` name, e.g. `cortex-m0plus`.
     fn name(&self) -> &'static str;

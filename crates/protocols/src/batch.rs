@@ -22,7 +22,8 @@
 //!    field backend inside `batch_to_affine`. Nothing here changes for
 //!    that: the pickup is transparent and the outputs are
 //!    byte-identical either way (inverses are unique), which the tests
-//!    below pin by toggling [`gf2m::bitsliced::set_bitsliced_enabled`].
+//!    below pin against per-item signing and ECDH at a batch size past
+//!    the crossover.
 //!
 //! The batch entry points are drop-in equivalent to their scalar
 //! counterparts: same signatures, same shared secrets, same error
@@ -337,28 +338,28 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced_toggle_never_changes_batch_outputs() {
+    fn bitsliced_batches_match_per_item_outputs() {
         // A batch wide enough to cross the bitsliced dispatch
         // threshold must produce byte-identical signatures and ECDH
-        // secrets with the backend on and off — the fast path is a
+        // secrets to the per-item scalar paths — the fast path is a
         // wall-clock change only.
         let n = gf2m::bitsliced::CROSSOVER + 2;
-        let key = SigningKey::generate(b"bitsliced toggle signer");
-        let kp = Keypair::generate(b"bitsliced toggle ecdh");
+        let key = SigningKey::generate(b"bitsliced batch signer");
+        let kp = Keypair::generate(b"bitsliced batch ecdh");
         let peers: Vec<Affine> = (0..n)
-            .map(|i| *Keypair::generate(format!("toggle peer {i}").as_bytes()).public())
+            .map(|i| *Keypair::generate(format!("batch peer {i}").as_bytes()).public())
             .collect();
         let msgs = msgs(n);
-        gf2m::bitsliced::set_bitsliced_enabled(false);
-        let sigs_scalar = sign_batch(&key, &msgs, 2);
-        let secrets_scalar = ecdh_batch(&kp, &peers, 2);
-        gf2m::bitsliced::set_bitsliced_enabled(true);
-        let sigs_fast = sign_batch(&key, &msgs, 2);
-        let secrets_fast = ecdh_batch(&kp, &peers, 2);
-        assert_eq!(sigs_scalar, sigs_fast);
-        assert_eq!(secrets_scalar.len(), secrets_fast.len());
-        for (a, b) in secrets_scalar.iter().zip(&secrets_fast) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
+        let sigs = sign_batch(&key, &msgs, 2);
+        let secrets = ecdh_batch(&kp, &peers, 2);
+        assert_eq!(sigs.len(), n);
+        for (m, sig) in msgs.iter().zip(&sigs) {
+            assert_eq!(*sig, key.sign(m));
+        }
+        assert_eq!(secrets.len(), n);
+        for (peer, secret) in peers.iter().zip(&secrets) {
+            assert_eq!(secret, &kp.shared_secret(peer));
+            assert!(secret.is_ok());
         }
     }
 

@@ -729,9 +729,8 @@ fn batch_phase(config: &DiffConfig, report: &mut DiffReport, cases: Range<usize>
         // (single ragged chunk, possibly empty) and a widened batch
         // spanning several 64-lane chunks plus a ragged tail, both
         // checked bit-for-bit against pointwise inversion. This calls
-        // the production seam directly, so it holds regardless of the
-        // crossover threshold or the runtime toggle — and it never
-        // touches that global toggle, keeping sharded runs race-free.
+        // the bitsliced chain directly, so it holds regardless of the
+        // crossover threshold.
         let mut widened_src = elems.clone();
         while widened_src.len() < len + 2 * bitsliced::LANES + 9 {
             widened_src.push(if rng.below(10) == 0 {

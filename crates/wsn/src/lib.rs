@@ -32,12 +32,10 @@ pub mod energy;
 pub mod gateway;
 pub mod network;
 pub mod node;
-pub mod service_gateway;
 pub mod sim;
 
 pub use energy::{CryptoCosts, RadioModel};
-pub use gateway::{Gateway, GatewayStats, SignedTelemetry};
+pub use gateway::{telemetry_message, Gateway, GatewayStats, SignedTelemetry, TelemetryVerdict};
 pub use network::{FleetReport, Network};
 pub use node::{NodeConfig, SensorNode};
-pub use service_gateway::{ServiceGateway, TelemetryVerdict};
 pub use sim::{Outcome, Simulation};

@@ -10,6 +10,8 @@ use crate::gateway::{Gateway, GatewayStats};
 use crate::node::{NodeConfig, SensorNode};
 use crate::sim::Outcome;
 use protocols::Keypair;
+use service::frame::Priority;
+use service::plane::{ConfigError, PlaneConfig};
 
 /// A fleet description: per-node configs (possibly heterogeneous).
 #[derive(Debug, Clone)]
@@ -77,13 +79,23 @@ impl Network {
         Network { configs, costs }
     }
 
-    /// Runs the fleet against a gateway node: each round every living
-    /// node signs one telemetry frame (spending kG + radio), and the
-    /// gateway verifies the incoming stream in batches of `batch_size`
-    /// across `workers` threads (see [`crate::gateway`]). Returns the
-    /// gateway's counters; every honest frame must verify.
-    pub fn run_gateway(&self, max_rounds: u64, batch_size: usize, workers: usize) -> GatewayStats {
-        let mut gateway = Gateway::new(batch_size, workers);
+    /// Runs the fleet against a gateway node over a service plane built
+    /// from `config` (see [`crate::gateway`]): each round every living
+    /// node signs one telemetry frame (spending kG + radio), the gateway
+    /// submits the round's frames and drains the plane before the next
+    /// round. Returns the gateway's counters; every honest frame must
+    /// verify. Size `config.queue_capacity` to the fleet: frames beyond
+    /// it are answered `Busy` and counted in the plane counters.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] when the plane policy could never make progress.
+    pub fn run_gateway(
+        &self,
+        max_rounds: u64,
+        config: PlaneConfig,
+    ) -> Result<GatewayStats, ConfigError> {
+        let mut gateway = Gateway::new(config)?;
         let mut nodes: Vec<SensorNode> = self
             .configs
             .iter()
@@ -99,15 +111,15 @@ impl Network {
                 let payload = format!("n{id:03} r{round:08}");
                 if let Some(frame) = node.sign_telemetry(payload.as_bytes()) {
                     all_dead = false;
-                    gateway.submit(frame);
+                    gateway.submit(&frame, Priority::Normal);
                 }
             }
             if all_dead {
                 break;
             }
+            gateway.drain();
         }
-        gateway.flush();
-        gateway.stats()
+        Ok(gateway.stats())
     }
 
     /// Runs every node against the shared base station for at most
@@ -214,11 +226,15 @@ mod tests {
     #[test]
     fn gateway_run_verifies_every_honest_frame() {
         let net = Network::homogeneous(3, tiny(), costs());
-        let stats = net.run_gateway(5, 4, 2);
+        let mut config = PlaneConfig::for_target(m0plus::target::default_target());
+        config.workers = 2;
+        let stats = net.run_gateway(5, config).expect("valid config");
         assert_eq!(stats.accepted, 15, "3 nodes × 5 rounds, all honest");
         assert_eq!(stats.rejected, 0);
-        // 15 frames, flushed in fours plus a final partial flush.
-        assert_eq!(stats.batches, 4);
+        // Every frame was admitted and verified; nothing shed or expired.
+        assert_eq!(stats.plane.submitted, 15);
+        assert_eq!(stats.plane.completed, 15);
+        assert!(stats.plane.accounted(0));
     }
 
     #[test]
