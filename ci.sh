@@ -108,6 +108,9 @@ grep -q "GATE: overload survivable" /tmp/service_overload_1.txt
 echo "==> lean build without the trace recorder"
 cargo build -p m0plus --release --offline --no-default-features
 
+echo "==> lean tests without the trace recorder"
+cargo test -p m0plus --release --offline --no-default-features
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

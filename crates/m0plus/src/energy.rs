@@ -128,13 +128,6 @@ impl EnergyModel {
         self.cycles[class.index()]
     }
 
-    /// [`EnergyModel::cycles_of`] by dense class index (superblock fast
-    /// path, mirroring [`EnergyModel::pj_per_instr_idx`]).
-    #[inline]
-    pub(crate) fn cycles_idx(&self, idx: usize) -> u64 {
-        self.cycles[idx]
-    }
-
     /// The full per-class cycle table, in [`InstrClass::ALL`] order —
     /// what the predecoder bakes into its per-target `MicroOp` tables.
     pub fn cycle_table(&self) -> &[u64; InstrClass::ALL.len()] {
@@ -148,9 +141,9 @@ impl EnergyModel {
     }
 
     /// [`EnergyModel::picojoules_per_instr`] by dense class index: the
-    /// superblock lowering precomputes `InstrClass::index()` once per
-    /// position, so the block interpreter skips the enum round-trip on
-    /// every retired instruction. Same table, same `f64` values.
+    /// lowering precomputes `InstrClass::index()` once per position, so
+    /// the machine's charge skips the enum round-trip on every retired
+    /// instruction. Same table, same `f64` values.
     #[inline]
     pub(crate) fn pj_per_instr_idx(&self, idx: usize) -> f64 {
         self.pj_per_instr[idx]

@@ -16,7 +16,7 @@
 
 use crate::asm::{decode_bl, Program};
 use crate::isa::Instr;
-use crate::machine::{Machine, MicroOp, Reg};
+use crate::machine::{Machine, MicroOp};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Execution errors.
@@ -689,24 +689,14 @@ pub fn execute_reference(
     })
 }
 
-/// Errors with [`ExecError::MemOutOfRange`] unless word `addr` is in
-/// RAM. The address is computed in `u64`, so a corrupted base register
-/// cannot overflow the sum.
-#[inline(always)]
-fn in_ram(machine: &Machine, pc: usize, addr: u64) -> Result<(), ExecError> {
-    if addr >= machine.ram_words() as u64 {
-        return Err(ExecError::MemOutOfRange { pc, addr });
-    }
-    Ok(())
-}
-
-/// Retires one decoded, non-skipped instruction at `pc`: one flat match
-/// drives the whole step — control flow reads the precomputed targets,
-/// memory ops range-check their effective address, everything else goes
-/// straight to its machine method — with no second dispatch behind it.
-/// Returns the next pc, or `None` after the outermost `BX lr`. Shared by
-/// the engine's per-step path and the reference loop, so the two differ
-/// only in when they decode and whether they run superblocks.
+/// Retires one decoded, non-skipped instruction at `pc`. Control flow
+/// reads the precomputed targets, a literal load looks up its pool slot
+/// and `PUSH`/`POP` charge a stack transfer; every other instruction is
+/// one [`Machine::try_step`], whose out-of-RAM operand becomes
+/// [`ExecError::MemOutOfRange`]. Returns the next pc, or `None` after
+/// the outermost `BX lr`. Shared by the engine's per-step path and the
+/// reference loop, so the two differ only in when they decode and
+/// whether they run superblocks.
 #[inline(always)]
 fn retire(
     m: &mut Machine,
@@ -739,55 +729,9 @@ fn retire(
             m.ldr_const(rt, value);
         }
         Push { reg_count } | Pop { reg_count } => m.stack_transfer(reg_count),
-        LdrImm { rt, rn, imm_words } => {
-            in_ram(m, pc, m.reg(rn) as u64 + imm_words as u64)?;
-            m.ldr(rt, rn, imm_words);
-        }
-        StrImm { rt, rn, imm_words } => {
-            in_ram(m, pc, m.reg(rn) as u64 + imm_words as u64)?;
-            m.str(rt, rn, imm_words);
-        }
-        LdrReg { rt, rn, rm } => {
-            in_ram(m, pc, m.reg(rn) as u64 + m.reg(rm) as u64)?;
-            m.ldr_reg(rt, rn, rm);
-        }
-        StrReg { rt, rn, rm } => {
-            in_ram(m, pc, m.reg(rn) as u64 + m.reg(rm) as u64)?;
-            m.str_reg(rt, rn, rm);
-        }
-        LdrSp { rt, imm_words } => {
-            in_ram(m, pc, m.reg(Reg::Sp) as u64 + imm_words as u64)?;
-            m.ldr_sp(rt, imm_words);
-        }
-        StrSp { rt, imm_words } => {
-            in_ram(m, pc, m.reg(Reg::Sp) as u64 + imm_words as u64)?;
-            m.str_sp(rt, imm_words);
-        }
-        LslsImm { rd, rm, imm } => m.lsls_imm(rd, rm, imm),
-        LsrsImm { rd, rm, imm } => m.lsrs_imm(rd, rm, if imm == 0 { 32 } else { imm }),
-        AsrsImm { rd, rm, imm } => m.asrs_imm(rd, rm, if imm == 0 { 32 } else { imm }),
-        AddsReg { rd, rn, rm } => m.adds(rd, rn, rm),
-        SubsReg { rd, rn, rm } => m.subs(rd, rn, rm),
-        MovsImm { rd, imm } => m.movs_imm(rd, imm),
-        CmpImm { rn, imm } => m.cmp_imm(rn, imm),
-        AddsImm8 { rdn, imm } => m.adds_imm(rdn, imm),
-        SubsImm8 { rdn, imm } => m.subs_imm(rdn, imm),
-        Ands { rdn, rm } => m.ands(rdn, rm),
-        Eors { rdn, rm } => m.eors(rdn, rm),
-        LslsReg { rdn, rm } => m.lsls_reg(rdn, rm),
-        LsrsReg { rdn, rm } => m.lsrs_reg(rdn, rm),
-        Adcs { rdn, rm } => m.adcs(rdn, rm),
-        Sbcs { rdn, rm } => m.sbcs(rdn, rm),
-        Tst { rn, rm } => m.tst(rn, rm),
-        Rsbs { rd, rn } => m.rsbs(rd, rn),
-        CmpReg { rn, rm } => m.cmp(rn, rm),
-        Orrs { rdn, rm } => m.orrs(rdn, rm),
-        Muls { rdn, rm } => m.muls(rdn, rm),
-        Bics { rdn, rm } => m.bics(rdn, rm),
-        Mvns { rd, rm } => m.mvns(rd, rm),
-        Mov { rd, rm } => m.mov(rd, rm),
-        Uxth { rd, rm } => m.uxth(rd, rm),
-        Nop => m.nop(),
+        instr => m
+            .try_step(instr, None)
+            .map_err(|addr| ExecError::MemOutOfRange { pc, addr })?,
     }
     Ok(Some(step.next))
 }
@@ -1405,6 +1349,28 @@ mod tests {
                 halfword: 0b11111 << 11
             })
         );
+        // Halfword 0x0000 is `LSLS r0, r0, #0`, which ARMv6-M defines
+        // as `MOVS r0, r0`: N and Z from the value, C and V kept. After
+        // a CMP that sets C it runs, not panics, in a superblock on the
+        // engine and per step on the oracle.
+        let program = Program {
+            code: [
+                Instr::CmpReg {
+                    rn: Reg::R0,
+                    rm: Reg::R0,
+                }
+                .encode(),
+                vec![0x0000],
+            ]
+            .concat(),
+            pool: vec![],
+            labels: HashMap::new(),
+        };
+        let mut m = Machine::new(16);
+        m.set_reg(Reg::R0, 0x8000_0000);
+        fragment(&mut m, &program, 10).expect("LSLS #0 runs");
+        assert_eq!(m.reg(Reg::R0), 0x8000_0000);
+        assert!(m.cond(Cond::Mi) && !m.cond(Cond::Eq) && m.cond(Cond::Hs));
     }
 
     #[cfg(feature = "trace")]

@@ -64,10 +64,6 @@ pub struct PlaneConfig {
     pub replay_window: usize,
     /// Deadline granted to requests that do not carry one, in ticks.
     pub default_deadline_ticks: u64,
-    /// Prefetch the wTNAF table of a request's kP operand into the
-    /// process-wide cache at admission (disabled at degradation
-    /// level ≥ 2).
-    pub warm_tables: bool,
     /// Worker threads for the batch drain; 0 sizes from the host.
     /// Results are bit-identical for any value.
     pub workers: usize,
@@ -91,7 +87,6 @@ impl PlaneConfig {
             max_clients: 64,
             replay_window: 64,
             default_deadline_ticks: 8,
-            warm_tables: true,
             workers: 0,
             key_seed: 0x5EC7_0233,
         }
@@ -420,13 +415,13 @@ impl ServicePlane {
                 retry_after,
             });
         }
-        // Admission: commit the sequence number, optionally warm the
-        // wTNAF table for the request's kP operand.
+        // Admission: commit the sequence number and, below degradation
+        // level 2, warm the wTNAF table for the request's kP operand.
         self.clients[ix]
             .replay
             .accept(seq)
             .expect("sequence number was checked fresh above");
-        if self.cfg.warm_tables && self.level < 2 {
+        if self.level < 2 {
             if let Some(p) = req.op.warm_point() {
                 let _ = cache::table_for(p, KP_WINDOW);
                 self.counters.warms += 1;
